@@ -458,6 +458,9 @@ class ComputeNode:
                 for cb in self._task_callbacks:
                     cb(task, self)
                 group.task_done()
+                # task_done lowers the group's remaining count, which a
+                # callback above may already have cached.
+                self._work_dirty = True
                 get_ev = self._ready.get()
             except Interrupt:
                 # Node failure.  Any in-flight task was already orphaned

@@ -163,35 +163,32 @@ class SiteAgent:
         if tel.active:
             self._record_action(action, now)
         dispatched = 0
-
-        oldest = self.backlog.oldest_arrival
-        aged = oldest is not None and (now - oldest) >= backlog_patience
-        # With spare nodes standing fully idle there is no reason to hold
-        # tasks back for merging — capacity is abundant, dispatch now.
-        spare_capacity = any(
-            n.pending_tasks == 0 and n.available for n in self.site.nodes
-        )
+        # Decided on the first iteration that finds an open node, before
+        # any dispatch; most overload passes find none and never need it.
+        allow_undersized = None
 
         profiling = tel.profiling
         while len(self.backlog) > 0:
             open_nodes = [n for n in self.site.nodes if n.available]
             if not open_nodes:
                 break
+            if allow_undersized is None:
+                aged = (now - self.backlog.oldest_arrival) >= backlog_patience
+                # With spare nodes standing fully idle there is no reason
+                # to hold tasks back for merging — capacity is abundant,
+                # dispatch now.
+                allow_undersized = aged or any(
+                    n.pending_tasks == 0 for n in open_nodes
+                )
             if profiling:
                 t0 = tel.profiler.start()
                 group = merge_next_group(
-                    self.backlog,
-                    action,
-                    now,
-                    allow_undersized=aged or spare_capacity,
+                    self.backlog, action, now, allow_undersized
                 )
                 tel.profiler.stop("agent.grouping", t0)
             else:
                 group = merge_next_group(
-                    self.backlog,
-                    action,
-                    now,
-                    allow_undersized=aged or spare_capacity,
+                    self.backlog, action, now, allow_undersized
                 )
             if group is None:
                 break

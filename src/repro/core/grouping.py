@@ -19,7 +19,10 @@ implemented by :class:`~repro.cluster.node.ComputeNode`.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from bisect import bisect_left, insort
+from heapq import heapify, heappop, heappush, merge
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 from ..cluster.taskgroup import TaskGroup
 from ..workload.priorities import Priority
@@ -30,48 +33,93 @@ __all__ = ["Backlog", "merge_next_group"]
 
 
 class Backlog:
-    """Pending tasks awaiting grouping, kept in EDF order."""
+    """Pending tasks awaiting grouping, kept in EDF order.
+
+    Layout (costs in ``docs/architecture.md``, "The agent backlog"):
+
+    - one sorted list per priority class of ``(deadline, seq, task)``
+      entries, where ``seq`` counts insertions, so equal deadlines stay
+      in insertion order and the global EDF order is a k-way merge of
+      the class lists;
+    - ``id(task) -> (class list, entry, arrival record)``, so ``take``
+      removes by identity with a bisect instead of an equality scan;
+    - a min-heap of ``[arrival_time, seq, live]`` records for
+      :attr:`oldest_arrival`.  Removed tasks are only marked dead and
+      popped when they reach the top; the heap is rebuilt once dead
+      records outnumber live ones.  Arrivals are *not* FIFO: crash
+      resubmission re-adds tasks with their original arrival times.
+    """
 
     def __init__(self) -> None:
-        self._tasks: list[Task] = []
+        self._classes: tuple[list, ...] = tuple([] for _ in Priority)
+        self._where: dict[int, tuple[list, tuple, list]] = {}
+        self._arrivals: list[list] = []
+        self._dead = 0
+        self._seq = 0
 
     def add(self, task: Task) -> None:
-        """Insert *task*, preserving EDF order."""
-        # Insertion keeps the list sorted; backlogs are short in steady
-        # state so a linear scan beats the constant factor of bisect with
-        # a key (and stays Python-version portable).
-        deadline = task.deadline
-        for i, existing in enumerate(self._tasks):
-            if deadline < existing.deadline:
-                self._tasks.insert(i, task)
-                return
-        self._tasks.append(task)
+        """Insert *task*, preserving EDF order (ties: insertion order)."""
+        if id(task) in self._where:
+            raise ValueError(f"task {task.tid} is already in the backlog")
+        seq = self._seq
+        self._seq = seq + 1
+        klass = self._classes[task.priority]
+        entry = (float(task.deadline), seq, task)
+        insort(klass, entry)
+        arrival = [task.arrival_time, seq, True]
+        heappush(self._arrivals, arrival)
+        self._where[id(task)] = (klass, entry, arrival)
 
     def __len__(self) -> int:
-        return len(self._tasks)
+        return len(self._where)
 
-    def __iter__(self):
-        return iter(self._tasks)
+    def __iter__(self) -> Iterator[Task]:
+        return iter([entry[2] for entry in merge(*self._classes)])
 
     @property
     def oldest_arrival(self) -> Optional[float]:
         """Earliest arrival time among pending tasks (None when empty)."""
-        if not self._tasks:
+        if not self._where:
             return None
-        return min(t.arrival_time for t in self._tasks)
+        heap = self._arrivals
+        while not heap[0][2]:
+            heappop(heap)
+            self._dead -= 1
+        return heap[0][0]
 
     def peek_edf(self, k: int) -> list[Task]:
         """The *k* earliest-deadline tasks without removing them."""
-        return self._tasks[:k]
+        heads = [klass[:k] for klass in self._classes if klass]
+        if len(heads) == 1:
+            return [entry[2] for entry in heads[0]]
+        return [entry[2] for entry in islice(merge(*heads), k)]
 
     def take(self, tasks: Iterable[Task]) -> None:
-        """Remove *tasks* (which must all be present) from the backlog."""
-        for t in tasks:
-            self._tasks.remove(t)
+        """Remove *tasks* (matched by identity) from the backlog.
+
+        Raises ValueError at the first task that is not present; the
+        tasks before it stay removed.
+        """
+        where = self._where
+        for task in tasks:
+            try:
+                klass, entry, arrival = where.pop(id(task))
+            except KeyError:
+                raise ValueError(f"{task!r} is not in the backlog") from None
+            del klass[bisect_left(klass, entry)]
+            arrival[2] = False
+            self._dead += 1
+        if not where:
+            self._arrivals.clear()
+            self._dead = 0
+        elif self._dead > len(where):
+            self._arrivals = [a for a in self._arrivals if a[2]]
+            heapify(self._arrivals)
+            self._dead = 0
 
     def by_priority(self, priority: Priority) -> list[Task]:
         """Pending tasks of one priority class, EDF-ordered."""
-        return [t for t in self._tasks if t.priority == priority]
+        return [entry[2] for entry in self._classes[priority]]
 
 
 def merge_next_group(
@@ -106,10 +154,11 @@ def merge_next_group(
         candidates = backlog.peek_edf(action.opnum)
     else:
         candidates = []
-        for priority in Priority:  # HIGH first — most urgent class first
-            klass = backlog.by_priority(priority)
+        # Class lists are indexed by Priority: HIGH first, most urgent
+        # class first.  Read only the head a group can use.
+        for klass in backlog._classes:
             if klass:
-                candidates = klass[: action.opnum]
+                candidates = [entry[2] for entry in klass[: action.opnum]]
                 break
 
     if not candidates:

@@ -189,6 +189,17 @@ class TestCallbacks:
         assert groups_done == [g.gid]
         assert len(slots_freed) == 1
 
+    def test_load_read_in_task_callback_does_not_go_stale(self, env):
+        """A task callback runs before the group's remaining count drops;
+        reading the node's load there must not leave a stale cache."""
+        node = make_node(env, n_procs=1)
+        seen = []
+        node.on_task_complete(lambda t, n: seen.append(n.pending_tasks))
+        node.submit(TaskGroup([make_task(i) for i in range(3)], created_at=0.0))
+        env.run(until=1.5)  # one 1 s task done, two pending
+        assert len(seen) == 1
+        assert node.pending_tasks == 2
+
     def test_groups_completed_counter(self, env):
         node = make_node(env)
         node.submit(TaskGroup([make_task(1)], created_at=0.0))

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from repro.cluster import ComputeNode, Processor, ResourceSite, SleepPolicy
-from repro.core import GroupingAction, GroupingMode, SharedLearningMemory
+from repro.core import (
+    Backlog,
+    GroupingAction,
+    GroupingMode,
+    SharedLearningMemory,
+)
 from repro.core.agent import SiteAgent
 from repro.core.value_models import TabularValueModel
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments.config import default_platform
 from repro.rl import EpsilonGreedy
 from repro.workload import Task
 
@@ -182,3 +189,52 @@ class TestFeedback:
             )
         )
         assert agent.select_action(state, obs) == remembered
+
+
+class TestPassLaziness:
+    def test_oldest_arrival_read_only_by_passes_that_can_place(
+        self, monkeypatch
+    ):
+        """``oldest_arrival`` is read at most once per pass, and never by a
+        pass that finds every node full (the common overload pass)."""
+        reads = [0]
+        original = Backlog.oldest_arrival
+
+        def counted(backlog):
+            reads[0] += 1
+            return original.fget(backlog)
+
+        monkeypatch.setattr(Backlog, "oldest_arrival", property(counted))
+
+        run_pass = SiteAgent.run_pass
+        passes = {"blocked": 0, "open": 0, "read": 0}
+
+        def checked(agent, now, backlog_patience):
+            reads[0] = 0
+            backlog = len(agent.backlog)
+            can_place = any(n.available for n in agent.site.nodes)
+            result = run_pass(agent, now, backlog_patience)
+            assert reads[0] <= 1
+            if backlog and not can_place:
+                assert reads[0] == 0
+                passes["blocked"] += 1
+            elif backlog:
+                passes["open"] += 1
+            passes["read"] += reads[0]
+            return result
+
+        monkeypatch.setattr(SiteAgent, "run_pass", checked)
+        config = ExperimentConfig(
+            scheduler="adaptive-rl",
+            seed=5,
+            num_tasks=200,
+            arrival_period=100.0,
+            platform=default_platform(
+                num_sites=2, nodes_per_site=(3, 3), procs_per_node=(4, 4)
+            ),
+        )
+        run_experiment(config)
+        # The run must exercise both kinds of pass to mean anything.
+        assert passes["blocked"] > 0
+        assert passes["open"] > 0
+        assert passes["read"] > 0

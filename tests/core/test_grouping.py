@@ -58,6 +58,41 @@ class TestBacklog:
         b.add(task(2, 0.5, arrival=3.0))
         assert b.oldest_arrival == 3.0
 
+    def test_take_matches_by_identity(self):
+        b = Backlog()
+        t1 = task(1, 0.5)
+        b.add(t1)
+        twin = task(1, 0.5)
+        assert twin == t1
+        with pytest.raises(ValueError):
+            b.take([twin])
+        assert list(b) == [t1]
+
+    def test_adding_a_pending_task_twice_raises(self):
+        b = Backlog()
+        t1 = task(1, 0.5)
+        b.add(t1)
+        with pytest.raises(ValueError):
+            b.add(t1)
+        assert len(b) == 1
+
+    def test_arrival_heap_compacts_under_churn(self):
+        """One long-lived task pins the heap top while others cycle: dead
+        arrival records must be compacted, not accumulated."""
+        b = Backlog()
+        b.add(task(0, 0.5, arrival=0.0))
+        peak = 0
+        for i in range(1, 2001):
+            batch = [task(i * 10 + j, 0.5, arrival=float(i)) for j in range(3)]
+            for t in batch:
+                b.add(t)
+            peak = max(peak, len(b._arrivals) / len(b))
+            b.take(batch)
+            peak = max(peak, len(b._arrivals) / len(b))
+        assert len(b) == 1
+        assert peak <= 3
+        assert b.oldest_arrival == 0.0
+
 
 class TestMergeMixed:
     def test_takes_opnum_earliest_deadlines(self):

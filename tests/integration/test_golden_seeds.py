@@ -3,8 +3,9 @@
 Perf refactors of a stochastic simulator are only safe when paired with
 a regression oracle: these tests pin per-seed sha256 digests of the
 headline metrics (AveRT, total system energy ``ECS``, success rate) for
-3 seeds × 2 schedulers, captured on the pre-optimisation kernel.  Any
-change that alters event ordering, float accumulation order, or RNG
+3 seeds × 2 schedulers, captured on the pre-optimisation kernel, plus
+one overload-with-failures run that exercises deep agent backlogs and
+crash resubmission.  Any change that alters event ordering, float accumulation order, or RNG
 stream consumption shifts at least one digest and fails loudly.
 
 The digests hash the exact IEEE-754 bit patterns (``float.hex``), so
@@ -21,7 +22,7 @@ import hashlib
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, default_platform
 from repro.experiments.runner import run_experiment
 
 SEEDS = (11, 23, 47)
@@ -45,14 +46,26 @@ GOLDEN_DIGESTS = {
 }
 
 
-def _run_digest(scheduler: str, seed: int) -> tuple[str, str]:
-    """Run the pinned configuration; return (digest, readable payload)."""
-    config = ExperimentConfig(
-        scheduler=scheduler,
-        seed=seed,
-        num_tasks=NUM_TASKS,
-        arrival_period=ARRIVAL_PERIOD,
-    )
+#: Overload with crash-stop failures: 2000 adaptive-rl tasks in a 400-unit
+#: window on a fixed 5 x 7 x 5 platform.  Agent backlogs reach ~780 tasks
+#: and ~2600 crash-orphaned tasks are resubmitted with their original
+#: arrival times, so backlog adds arrive out of arrival order -- a path
+#: the 300-task seeds above never reach.  Pinned before the indexed
+#: backlog replaced the sorted-list one.
+OVERLOAD_FAILURES_CONFIG = ExperimentConfig(
+    scheduler="adaptive-rl",
+    seed=11,
+    num_tasks=2000,
+    arrival_period=400.0,
+    platform=default_platform(nodes_per_site=(7, 7), procs_per_node=(5, 5)),
+    failure_mtbf=300.0,
+    failure_mttr=30.0,
+)
+OVERLOAD_FAILURES_DIGEST = "3b6d150b57094001"
+
+
+def _digest(config: ExperimentConfig) -> tuple[str, str]:
+    """Run *config*; return (digest, readable payload)."""
     metrics = run_experiment(config).metrics
     payload = "|".join(
         [
@@ -62,6 +75,18 @@ def _run_digest(scheduler: str, seed: int) -> tuple[str, str]:
         ]
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16], payload
+
+
+def _run_digest(scheduler: str, seed: int) -> tuple[str, str]:
+    """Run the pinned configuration; return (digest, readable payload)."""
+    return _digest(
+        ExperimentConfig(
+            scheduler=scheduler,
+            seed=seed,
+            num_tasks=NUM_TASKS,
+            arrival_period=ARRIVAL_PERIOD,
+        )
+    )
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -92,20 +117,22 @@ def test_dict_backend_matches_golden_digest(seed: int) -> None:
         arrival_period=ARRIVAL_PERIOD,
         scheduler_kwargs={"q_backend": "dict"},
     )
-    metrics = run_experiment(config).metrics
-    payload = "|".join(
-        [
-            metrics.avert.hex(),
-            metrics.ecs.hex(),
-            float(metrics.success_rate).hex(),
-        ]
-    )
-    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    digest, payload = _digest(config)
     expected = GOLDEN_DIGESTS[f"adaptive-rl/seed{seed}"]
     assert digest == expected, (
         f"dict backend seed={seed}: digest {digest} != pinned {expected} "
         f"(AveRT|ECS|success = {payload}); the dense and dict Q backends "
         "have diverged"
+    )
+
+
+def test_overload_with_failures_digest() -> None:
+    """Deep backlogs plus crash resubmission stay bit-identical."""
+    digest, payload = _digest(OVERLOAD_FAILURES_CONFIG)
+    assert digest == OVERLOAD_FAILURES_DIGEST, (
+        f"overload-with-failures: metrics digest {digest} != pinned "
+        f"{OVERLOAD_FAILURES_DIGEST} (AveRT|ECS|success = {payload}); "
+        "backlog ordering or crash resubmission changed behaviour"
     )
 
 
@@ -120,3 +147,5 @@ if __name__ == "__main__":  # pragma: no cover - digest refresh helper
         for seed_value in SEEDS:
             dig, pay = _run_digest(sched, seed_value)
             print(f'    "{sched}/seed{seed_value}": "{dig}",  # {pay}')
+    dig, pay = _digest(OVERLOAD_FAILURES_CONFIG)
+    print(f'OVERLOAD_FAILURES_DIGEST = "{dig}"  # {pay}')
