@@ -21,7 +21,7 @@ Execution model (paper §III.B, §IV.D.2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..energy.accounting import NodeEnergy, node_energy
 from ..energy.meter import ProcState
@@ -33,6 +33,9 @@ from ..sim.resources import Store
 from ..workload.task import Task
 from .processor import Processor
 from .taskgroup import TaskGroup
+
+if TYPE_CHECKING:
+    from .site import ResourceSite
 
 __all__ = ["ComputeNode", "NodeState", "SleepPolicy"]
 
@@ -157,6 +160,9 @@ class ComputeNode:
         # bit-identical; the flags are raised at every mutation point
         # (admission, completion, failure, power transitions).
         self._work_dirty = True
+        #: Site whose cached pending count covers this node; set by
+        #: :class:`~repro.cluster.site.ResourceSite`.
+        self._site: Optional[ResourceSite] = None
         self._load_cache = 0.0
         self._pending_tasks_cache = 0
         self._pending_size_cache = 0.0
@@ -242,6 +248,14 @@ class ComputeNode:
             1 for p in self.processors if p.state is ProcState.SLEEP
         )
         self._power_dirty = False
+
+    def _mark_work_dirty(self) -> None:
+        """Invalidate the admitted-work caches, here and in the site's
+        pending count (admission, task or group completion, failure)."""
+        self._work_dirty = True
+        site = self._site
+        if site is not None:
+            site._pending_dirty = True
 
     def _mark_power_dirty(self) -> None:
         """Invalidate power-derived caches (meter or DVFS transition)."""
@@ -335,7 +349,7 @@ class ComputeNode:
         group.completion = Event(self.env)
         group.on_complete(self._group_done)
         self._active_groups.append(group)
-        self._work_dirty = True
+        self._mark_work_dirty()
         return self.queue.put(group)
 
     def try_submit(self, group: TaskGroup) -> bool:
@@ -452,7 +466,7 @@ class ComputeNode:
                 task.mark_finished(env.now)
                 proc.meter.set_state(ProcState.IDLE, env.now)
                 self._power_dirty = True
-                self._work_dirty = True
+                self._mark_work_dirty()
                 proc.tasks_completed += 1
                 self.tasks_completed += 1
                 for cb in self._task_callbacks:
@@ -460,7 +474,7 @@ class ComputeNode:
                 group.task_done()
                 # task_done lowers the group's remaining count, which a
                 # callback above may already have cached.
-                self._work_dirty = True
+                self._mark_work_dirty()
                 get_ev = self._ready.get()
             except Interrupt:
                 # Node failure.  Any in-flight task was already orphaned
@@ -505,7 +519,7 @@ class ComputeNode:
                         task.reset_execution()
                     orphans.append(task)
         self._active_groups.clear()
-        self._work_dirty = True
+        self._mark_work_dirty()
         self.queue.items.clear()
         self._ready.items.clear()
 
@@ -533,7 +547,7 @@ class ComputeNode:
         self.groups_completed += 1
         if group in self._active_groups:
             self._active_groups.remove(group)
-        self._work_dirty = True
+        self._mark_work_dirty()
         for cb in self._group_callbacks:
             cb(group, self)
 

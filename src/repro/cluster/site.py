@@ -26,11 +26,24 @@ class ResourceSite:
         self._by_id = {n.node_id: n for n in self.nodes}
         if len(self._by_id) != len(self.nodes):
             raise ValueError(f"site {site_id}: duplicate node ids")
+        for n in self.nodes:
+            if n._site is not None:
+                raise ValueError(
+                    f"site {site_id}: node {n.node_id} already belongs to "
+                    f"site {n._site.site_id}"
+                )
         # Topology is fixed after construction, so the structural
         # aggregates observed every scheduling pass are frozen here.
         self._num_processors = sum(n.num_processors for n in self.nodes)
         self._total_speed_mips = sum(n.total_speed_mips for n in self.nodes)
         self._max_group_size = max(n.max_group_size for n in self.nodes)
+        # Σ node.pending_tasks, read by least-loaded routing for every
+        # arrival.  Nodes raise the flag wherever they invalidate their
+        # own work caches; the count is an integer, so the cache is exact.
+        self._pending_dirty = True
+        self._pending_cache = 0
+        for n in self.nodes:
+            n._site = self
 
     def __iter__(self):
         return iter(self.nodes)
@@ -60,7 +73,10 @@ class ResourceSite:
 
     @property
     def pending_tasks(self) -> int:
-        return sum(n.pending_tasks for n in self.nodes)
+        if self._pending_dirty:
+            self._pending_cache = sum(n.pending_tasks for n in self.nodes)
+            self._pending_dirty = False
+        return self._pending_cache
 
     @property
     def max_group_size(self) -> int:

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..energy.accounting import SystemEnergy, system_energy
+from ..energy.meter import BANK, row_index
 from ..energy.power_model import (
     PowerProfile,
     constant_power_profile,
@@ -128,11 +129,9 @@ class System:
             p.speed_mips for p in self._processors
         )
         # Meter-bank gather index in topology order: whole-system state
-        # scans (busy counts, power sums) read columns instead of
-        # walking processor objects.
-        self._meter_rows = np.array(
-            [p.meter._row for p in self._processors], dtype=np.intp
-        )
+        # scans (busy counts, the learning-cycle sampler) read columns
+        # instead of walking processor objects.
+        self._meter_rows = row_index([p.meter._row for p in self._processors])
 
     def __iter__(self):
         return iter(self.sites)
@@ -158,6 +157,13 @@ class System:
         return self._num_processors
 
     @property
+    def meter_rows(self):
+        """Meter-bank rows of :attr:`processors`, in topology order (a
+        slice when contiguous, else an index array; see
+        :func:`~repro.energy.meter.row_index`)."""
+        return self._meter_rows
+
+    @property
     def slowest_speed_mips(self) -> float:
         """Speed of the slowest processor — the reference for ``ACT``."""
         return self._slowest_speed_mips
@@ -169,8 +175,6 @@ class System:
 
     def busy_processors(self) -> int:
         """Number of processors currently executing a task."""
-        from ..energy.meter import BANK
-
         return BANK.busy_count(self._meter_rows)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -132,6 +132,7 @@ class AdaptiveRLScheduler(Scheduler):
                 memory=self.memory,
                 grouping_enabled=cfg.grouping_enabled,
                 telemetry=self.telemetry,
+                cycle_clock=lambda: self.learning_cycles,
             )
             self.agents[site.site_id] = agent
             for node in site.nodes:
@@ -150,9 +151,12 @@ class AdaptiveRLScheduler(Scheduler):
         assert self.env is not None
         now = self.env.now
         backlog_remaining = 0
+        # Most agents of a wide platform hold no backlog on most passes;
+        # they are skipped outright (their cycle count is the scheduler's).
         for agent in self.agents.values():
-            agent.run_pass(now, self.config.backlog_patience)
-            backlog_remaining += len(agent.backlog)
+            if len(agent.backlog):
+                agent.run_pass(now, self.config.backlog_patience)
+                backlog_remaining += len(agent.backlog)
         if self.governor is not None:
             assert self.system is not None
             self.governor.apply(self.system.nodes, now)

@@ -17,7 +17,7 @@ Each resource site hosts one agent.  Per learning cycle the agent
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..cluster.node import ComputeNode
 from ..cluster.site import ResourceSite
@@ -66,6 +66,7 @@ class SiteAgent:
         memory: Optional[SharedLearningMemory],
         grouping_enabled: bool = True,
         telemetry: Optional[Telemetry] = None,
+        cycle_clock: Optional[Callable[[], int]] = None,
     ) -> None:
         """Create the agent for *site*.
 
@@ -75,6 +76,11 @@ class SiteAgent:
         each group's placement may be a random open node instead of the
         score minimizer.  ε decays once per feedback event (completed
         group), so learning progress spans the run regardless of load.
+
+        ``cycle_clock`` returns the learning cycles elapsed; the owning
+        scheduler counts them once per pass, including the passes that
+        skip this agent because its backlog is empty.  Without one the
+        agent stays at cycle 0.
         """
         self.site = site
         self.agent_id = f"agent.{site.site_id}"
@@ -99,7 +105,7 @@ class SiteAgent:
         #: "memory-seed" (unseen-state bootstrap), or "memory-override"
         #: (reward-regression rule) — recorded for telemetry.
         self._action_source = "policy"
-        self.cycles = 0
+        self._cycle_clock = cycle_clock or (lambda: 0)
         self.groups_dispatched = 0
         self.feedbacks: int = 0
         #: Cumulative feedback signals, folded in only while telemetry is
@@ -107,6 +113,11 @@ class SiteAgent:
         #: windowed means (repro.obs.convergence).
         self.reward_sum: float = 0.0
         self.l_val_sum: float = 0.0
+
+    @property
+    def cycles(self) -> int:
+        """Learning cycles elapsed (stamped on shared-memory experiences)."""
+        return self._cycle_clock()
 
     # -- observation -------------------------------------------------------
     def observe(self) -> tuple[DiscreteState, SiteObservation]:
@@ -153,7 +164,6 @@ class SiteAgent:
     # -- scheduling pass ---------------------------------------------------
     def run_pass(self, now: float, backlog_patience: float) -> int:
         """Group and assign backlog tasks; returns groups dispatched."""
-        self.cycles += 1
         if len(self.backlog) == 0:
             return 0
 

@@ -14,8 +14,6 @@ import abc
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..cluster.node import ComputeNode
 from ..cluster.system import System
 from ..cluster.taskgroup import TaskGroup
@@ -71,10 +69,6 @@ class Scheduler(abc.ABC):
         #: Tasks re-queued after node failures (failure injection).
         self.tasks_resubmitted = 0
         self._wakeup: Optional[Event] = None
-        #: Meters in topology order, prebound at attach time so the
-        #: per-cycle sampler skips the processor indirection.
-        self._meters: list = []
-        self._meter_rows = np.empty(0, dtype=np.intp)
         self._expected: Optional[int] = None
         #: Triggered when `expect(n)` tasks have completed.
         self.all_done: Optional[Event] = None
@@ -92,12 +86,6 @@ class Scheduler(abc.ABC):
         self.telemetry = env.telemetry
         self._wakeup = Event(env)
         self.all_done = Event(env)
-        self._meters = [p.meter for p in system.processors]
-        # Row gather-index into the meter bank, prebound so the per-cycle
-        # sampler is one fancy-indexed column read instead of a loop.
-        self._meter_rows = np.array(
-            [m._row for m in self._meters], dtype=np.intp
-        )
         for node in system.nodes:
             node.on_task_complete(self._task_completed)
             node.on_slot_freed(lambda n: self.kick())
@@ -211,11 +199,12 @@ class Scheduler(abc.ABC):
     def _sample_cycle(self) -> None:
         assert self.system is not None and self.env is not None
         now = self.env.now
-        # One gathered columnar read over the prebound meter-bank rows:
-        # the same per-processor sums (and float bits) as the former
-        # per-meter attribute loop — meter.powered_times +
-        # busy_processors() — see MeterBank.sample_cycle.
-        busy, powered, busy_count = BANK.sample_cycle(self._meter_rows, now)
+        # One columnar read over the system's meter-bank rows, summed
+        # left to right like a per-processor ``+=`` loop over the busy
+        # and idle meter totals — see MeterBank.sample_cycle.
+        busy, powered, busy_count = BANK.sample_cycle(
+            self.system.meter_rows, now
+        )
         total = self.system.num_processors
         self.cycle_log.append(
             CycleSample(

@@ -23,10 +23,10 @@ sampler read them; tests write them to provoke violations).
 What the layout buys: whole-population readers — the per-cycle sampler
 (:meth:`MeterBank.sample_cycle`), the busy-processor count
 (:meth:`MeterBank.busy_count`), the per-node power snapshot
-(:meth:`MeterBank.current_power`) — gather columns with one NumPy fancy
-index instead of a Python loop over meter objects, while keeping the
-exact per-meter float bits (sums stay left-to-right where the scalar
-code summed left-to-right).
+(:meth:`MeterBank.current_power`) — gather columns with one NumPy index
+instead of a Python loop over meter objects, while keeping the exact
+per-meter float bits (sums stay left-to-right where the scalar code
+summed left-to-right).
 """
 
 from __future__ import annotations
@@ -40,7 +40,13 @@ import numpy as np
 from ..sim.columnar import FloatColumn, IntColumn
 from .power_model import PowerProfile
 
-__all__ = ["ProcState", "ProcessorEnergyMeter", "EnergyBreakdown", "MeterBank"]
+__all__ = [
+    "ProcState",
+    "ProcessorEnergyMeter",
+    "EnergyBreakdown",
+    "MeterBank",
+    "row_index",
+]
 
 
 class ProcState(enum.Enum):
@@ -160,15 +166,20 @@ class MeterBank:
         return row
 
     # -- vectorized whole-population readers ----------------------------
-    def sample_cycle(self, rows: np.ndarray, now: float):
+    def sample_cycle(self, rows, now: float):
         """``(busy_sum, powered_sum, busy_count)`` over *rows* at *now*.
 
-        Bit-identical to the scalar per-meter loop it replaces: the
-        accruing span is added with the same ``b + (now - since)``
-        expression, and both sums run left-to-right over the gathered
-        (row-ordered) values, exactly like the ``+=`` loop did.
+        *rows* is a row index array or a slice (see :func:`row_index`).
+        Bit-identical to the scalar per-meter ``+=`` loop it replaces:
+        the accruing span is added with the same ``b + (now - since)``
+        expression, and both sums are ``np.cumsum`` (``np.add.accumulate``),
+        which adds strictly left to right over the row-ordered values.
+        ``np.sum`` would not match (it adds pairwise), and neither would
+        builtin ``sum()`` from CPython 3.12 on (compensated summation).
         """
         b = self.busy_time.data[rows]
+        if b.size == 0:
+            return 0, 0, 0
         i = self.idle_time.data[rows]
         codes = self.state.data[rows]
         live = np.isnan(self.finalized_at.data[rows])
@@ -176,8 +187,8 @@ class MeterBank:
         busy_mask = codes == BUSY_CODE
         b = np.where(busy_mask & live, b + spans, b)
         i = np.where((codes == IDLE_CODE) & live, i + spans, i)
-        busy = sum(b.tolist())
-        powered = sum((b + i).tolist())
+        busy = float(np.cumsum(b)[-1])
+        powered = float(np.cumsum(b + i)[-1])
         return busy, powered, int(np.count_nonzero(busy_mask))
 
     def busy_count(self, rows: np.ndarray) -> int:
@@ -206,6 +217,19 @@ class MeterBank:
 
 #: Process-wide bank backing every :class:`ProcessorEnergyMeter`.
 BANK = MeterBank()
+
+
+def row_index(rows):
+    """Gather index over bank *rows*: a slice when they are one ascending
+    run (a view, ~25% cheaper per column read than fancy indexing),
+    otherwise an ``intp`` array.  Both select the same cells in the same
+    order."""
+    index = np.asarray(rows, dtype=np.intp)
+    if index.size and np.array_equal(
+        index, np.arange(index[0], index[0] + index.size)
+    ):
+        return slice(int(index[0]), int(index[0]) + index.size)
+    return index
 
 
 class ProcessorEnergyMeter:
@@ -405,30 +429,6 @@ class ProcessorEnergyMeter:
         self._charge(now)
         self._bank.finalized_at.data[self._row] = now
         return self.snapshot()
-
-    def powered_times(self, now: float) -> tuple[float, float]:
-        """``(busy_time, idle_time)`` as of *now*, without allocation.
-
-        The learning-cycle sampler reads only these two fields from
-        every processor on every cycle; this accessor reproduces
-        :meth:`snapshot`'s arithmetic for them exactly (the accruing
-        span is added to the current state's total) while skipping the
-        dict copies and the :class:`EnergyBreakdown` construction.
-        """
-        bank, row = self._bank, self._row
-        busy = bank.busy_time.data[row]
-        idle = bank.idle_time.data[row]
-        if np.isnan(bank.finalized_at.data[row]):
-            since = bank.since.data[row]
-            if now < since:
-                raise ValueError("snapshot time precedes last transition")
-            span = now - since
-            code = bank.state.data[row]
-            if code == BUSY_CODE:
-                busy += span
-            elif code == IDLE_CODE:
-                idle += span
-        return busy, idle
 
     def snapshot(self, now: float | None = None) -> EnergyBreakdown:
         """Breakdown as of the last transition (or *now* if given).

@@ -218,6 +218,7 @@ class InvariantAuditor:
         self._events_at_last_sweep = 0
         self._shadows: list[_MeterShadow] = []
         self._nodes: list[Any] = []
+        self._sites: list[Any] = []
         #: tid -> Task for every task ever submitted to the scheduler.
         self._tasks: dict[Any, Any] = {}
         #: tid -> completion count (anything > 1 is a violation).
@@ -344,6 +345,7 @@ class InvariantAuditor:
             raise RuntimeError("a system is already attached")
         self.system = system
         self._nodes = list(system.nodes)
+        self._sites = list(system.sites)
         for proc in system.processors:
             self._wrap_meter(proc.meter)
 
@@ -557,6 +559,7 @@ class InvariantAuditor:
         self.report.sweeps += 1
         self._events_at_last_sweep = self.report.events_audited
         self._sweep_nodes()
+        self._sweep_sites()
         self._sweep_energy()
         if self.scheduler is not None:
             self._sweep_conservation()
@@ -631,6 +634,27 @@ class InvariantAuditor:
                         "clean power cache does not match the processors' "
                         "current draw",
                     )
+
+    def _sweep_sites(self) -> None:
+        # Site pending-count cache coherence: nodes raise the site flag
+        # wherever they invalidate their own work cache, so a clean site
+        # count must equal the per-node rescan exactly.
+        for site in self._sites:
+            if site._pending_dirty:
+                continue
+            self.report.count(INV_QUEUE)
+            pending = sum(
+                g.remaining for n in site.nodes for g in n._active_groups
+            )
+            if site._pending_cache != pending:
+                self._violate(
+                    INV_QUEUE,
+                    site.site_id,
+                    f"clean site pending count {site._pending_cache} != "
+                    f"node rescan {pending}",
+                    cached=site._pending_cache,
+                    fresh=pending,
+                )
 
     def _sweep_energy(self) -> None:
         rep = self.report

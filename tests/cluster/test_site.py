@@ -79,3 +79,73 @@ class TestSite:
         assert site.total_load == pytest.approx(g.pw)
         env.run()
         assert site.pending_tasks == 0
+
+
+def rescan_pending(site):
+    """Ground truth: incomplete tasks across the site's admitted groups."""
+    return sum(g.remaining for n in site.nodes for g in n._active_groups)
+
+
+def sized_task(tid, size):
+    return Task(tid=tid, size_mi=size, arrival_time=0.0, act=1.0, deadline=1e6)
+
+
+class TestPendingCache:
+    """``ResourceSite.pending_tasks`` is cached behind a flag the nodes
+    raise; every read must still equal a full rescan."""
+
+    def check_every_event(self, env, site, until):
+        while env.peek() <= until:
+            env.step()
+            assert site.pending_tasks == rescan_pending(site)
+
+    def test_exact_through_submit_completion_fail_and_repair(self, env):
+        site = make_site(env, n_nodes=2, n_procs=2)
+        # Read the count mid-completion, the way least-loaded routing
+        # does when a completion callback resubmits or kicks the
+        # scheduler, so that a missed invalidation leaves it stale.
+        seen = []
+        site.on_task_complete(lambda t, n: seen.append(site.pending_tasks))
+        groups_done = []
+
+        def group_done(group, node):
+            # A group completes inside its last task's completion, after
+            # the task callbacks above already re-cached the count.
+            assert site.pending_tasks == rescan_pending(site)
+            groups_done.append(group)
+
+        site.on_group_complete(group_done)
+        n0, n1 = site.node("n0"), site.node("n1")
+        tid = iter(range(1000))
+
+        def submit(node, *sizes):
+            group = TaskGroup(
+                [sized_task(next(tid), s) for s in sizes], created_at=env.now
+            )
+            assert node.try_submit(group)
+            assert site.pending_tasks == rescan_pending(site)
+
+        assert site.pending_tasks == 0
+        submit(n0, 1000.0, 3000.0, 5000.0)
+        submit(n0, 2000.0)
+        submit(n1, 2000.0, 2000.0)
+        submit(n1, 9000.0)
+        assert site.pending_tasks == 7
+        self.check_every_event(env, site, until=3.5)
+        assert seen and groups_done  # tasks and whole groups finished
+        assert n1.pending_tasks == 1  # the 9000-MI task is running
+
+        n1.fail()
+        assert n1.pending_tasks == 0
+        assert site.pending_tasks == rescan_pending(site) == n0.pending_tasks
+        self.check_every_event(env, site, until=4.0)
+        n1.repair()
+        submit(n1, 1500.0)
+        self.check_every_event(env, site, until=1e9)
+        assert site.pending_tasks == 0
+        assert len(seen) == n0.tasks_completed + n1.tasks_completed
+
+    def test_node_cannot_join_two_sites(self, env):
+        site = make_site(env)
+        with pytest.raises(ValueError, match="already belongs"):
+            ResourceSite("s1", [site.node("n0")])

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.core import AdaptiveRLConfig, AdaptiveRLScheduler
+from repro.core import AdaptiveRLConfig, AdaptiveRLScheduler, SharedLearningMemory
+from repro.core.agent import SiteAgent
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments.config import default_platform
 from repro.sim import RandomStreams
 
 
@@ -94,3 +97,71 @@ class TestScheduler:
         sched.attach(env, small_system, RandomStreams(seed=1))
         with pytest.raises(RuntimeError):
             sched.attach(env, small_system, RandomStreams(seed=1))
+
+
+class TestPassAccounting:
+    """Passes skip agents with an empty backlog, but every agent still
+    counts every learning cycle (``Experience.cycle`` is exported)."""
+
+    CONFIG = ExperimentConfig(
+        scheduler="adaptive-rl",
+        seed=3,
+        num_tasks=20,
+        arrival_period=200.0,
+        platform=default_platform(num_sites=30),
+    )
+
+    def test_agents_count_every_cycle(self, monkeypatch):
+        stamps = []
+        original_record = SharedLearningMemory.record
+        holder = {}
+
+        def record(memory, experience):
+            sched = holder["sched"]
+            stamps.append((experience.cycle, sched.learning_cycles))
+            return original_record(memory, experience)
+
+        original_setup = AdaptiveRLScheduler._setup
+
+        def setup(sched):
+            holder["sched"] = sched
+            original_setup(sched)
+
+        monkeypatch.setattr(SharedLearningMemory, "record", record)
+        monkeypatch.setattr(AdaptiveRLScheduler, "_setup", setup)
+        sched = run_experiment(self.CONFIG).scheduler
+        idle = [a for a in sched.agents.values() if a.groups_dispatched == 0]
+        assert idle, "some site must never receive a task"
+        assert all(
+            a.cycles == sched.learning_cycles for a in sched.agents.values()
+        )
+        assert stamps and all(cycle == now for cycle, now in stamps)
+
+    def test_run_pass_only_for_backlogged_agents_in_site_order(
+        self, monkeypatch
+    ):
+        passes = []
+        run_pass = SiteAgent.run_pass
+        scheduling_pass = AdaptiveRLScheduler._scheduling_pass
+
+        def checked_run_pass(agent, now, backlog_patience):
+            assert len(agent.backlog) > 0
+            passes[-1].append(agent.site.site_id)
+            return run_pass(agent, now, backlog_patience)
+
+        def checked_pass(sched):
+            passes.append([])
+            scheduling_pass(sched)
+
+        monkeypatch.setattr(SiteAgent, "run_pass", checked_run_pass)
+        monkeypatch.setattr(
+            AdaptiveRLScheduler, "_scheduling_pass", checked_pass
+        )
+        result = run_experiment(self.CONFIG)
+        assert len(passes) == result.scheduler.learning_cycles
+        order = [s.site_id for s in result.system.sites]
+        visited = [site for sites in passes for site in sites]
+        assert 0 < len(visited) < len(passes) * len(order)
+        for sites in passes:
+            ranks = [order.index(site) for site in sites]
+            assert ranks == sorted(set(ranks))

@@ -5,7 +5,9 @@ a regression oracle: these tests pin per-seed sha256 digests of the
 headline metrics (AveRT, total system energy ``ECS``, success rate) for
 3 seeds × 2 schedulers, captured on the pre-optimisation kernel, plus
 one overload-with-failures run that exercises deep agent backlogs and
-crash resubmission.  Any change that alters event ordering, float accumulation order, or RNG
+crash resubmission, one many-site run with failures, the per-cycle
+utilization log and the learning-cycle stamps of the shared memory.
+Any change that alters event ordering, float accumulation order, or RNG
 stream consumption shifts at least one digest and fails loudly.
 
 The digests hash the exact IEEE-754 bit patterns (``float.hex``), so
@@ -22,6 +24,7 @@ import hashlib
 
 import pytest
 
+from repro.core import SharedLearningMemory
 from repro.experiments.config import ExperimentConfig, default_platform
 from repro.experiments.runner import run_experiment
 
@@ -64,6 +67,33 @@ OVERLOAD_FAILURES_CONFIG = ExperimentConfig(
 OVERLOAD_FAILURES_DIGEST = "3b6d150b57094001"
 
 
+#: Many sites with crash-stop failures: 40 sites share 600 tasks, so most
+#: agents sit on an empty backlog on most passes and node failures must
+#: invalidate the site-level pending counts that least-loaded routing
+#: reads on every arrival.  Pinned before per-site pending caching and
+#: skipping of empty agent passes.
+MANY_SITES_CONFIG = ExperimentConfig(
+    scheduler="adaptive-rl",
+    seed=11,
+    num_tasks=600,
+    platform=default_platform(num_sites=40),
+    failure_mtbf=400.0,
+    failure_mttr=40.0,
+)
+MANY_SITES_DIGEST = "0625535e2d2365fe"
+
+#: The per-learning-cycle utilization log (Figures 9-10) of the
+#: adaptive-rl seed-11 golden run: every sample's busy time, powered
+#: time and busy fraction, bit for bit, plus the completion and cycle
+#: counts.  Pinned before the meter-bank reduction was rewritten.
+CYCLE_LOG_DIGEST = "6844b570ff9d5c50"
+
+#: ``Experience.cycle`` of every record the shared memory receives in
+#: the adaptive-rl seed-11 golden run, with its agent id.  Pinned before
+#: the pass count moved from the agents to the scheduler.
+EXPERIENCE_CYCLES_DIGEST = "a9bf58cddc9d6a88"
+
+
 def _digest(config: ExperimentConfig) -> tuple[str, str]:
     """Run *config*; return (digest, readable payload)."""
     metrics = run_experiment(config).metrics
@@ -77,16 +107,48 @@ def _digest(config: ExperimentConfig) -> tuple[str, str]:
     return hashlib.sha256(payload.encode()).hexdigest()[:16], payload
 
 
+def _golden_config(scheduler: str, seed: int) -> ExperimentConfig:
+    return ExperimentConfig(
+        scheduler=scheduler,
+        seed=seed,
+        num_tasks=NUM_TASKS,
+        arrival_period=ARRIVAL_PERIOD,
+    )
+
+
+def _cycle_log_digest() -> str:
+    """Digest of the adaptive-rl seed-11 run's learning-cycle log."""
+    scheduler = run_experiment(_golden_config("adaptive-rl", 11)).scheduler
+    parts = [
+        f"{s.busy_time.hex()},{s.powered_time.hex()},"
+        f"{s.busy_fraction.hex()},{s.completed_tasks}"
+        for s in scheduler.cycle_log
+    ]
+    parts.append(str(scheduler.learning_cycles))
+    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+
+
+def _experience_cycles_digest() -> str:
+    """Digest of every shared-memory record's agent and cycle stamp."""
+    stamps: list[str] = []
+    original = SharedLearningMemory.record
+
+    def record(memory, experience):
+        stamps.append(f"{experience.agent_id}@{experience.cycle}")
+        return original(memory, experience)
+
+    SharedLearningMemory.record = record
+    try:
+        run_experiment(_golden_config("adaptive-rl", 11))
+    finally:
+        SharedLearningMemory.record = original
+    assert stamps, "the golden run records no experiences"
+    return hashlib.sha256("|".join(stamps).encode()).hexdigest()[:16]
+
+
 def _run_digest(scheduler: str, seed: int) -> tuple[str, str]:
     """Run the pinned configuration; return (digest, readable payload)."""
-    return _digest(
-        ExperimentConfig(
-            scheduler=scheduler,
-            seed=seed,
-            num_tasks=NUM_TASKS,
-            arrival_period=ARRIVAL_PERIOD,
-        )
-    )
+    return _digest(_golden_config(scheduler, seed))
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -136,6 +198,35 @@ def test_overload_with_failures_digest() -> None:
     )
 
 
+def test_many_sites_with_failures_digest() -> None:
+    """Forty mostly idle sites with node crashes stay bit-identical."""
+    digest, payload = _digest(MANY_SITES_CONFIG)
+    assert digest == MANY_SITES_DIGEST, (
+        f"many-sites: metrics digest {digest} != pinned {MANY_SITES_DIGEST} "
+        f"(AveRT|ECS|success = {payload}); site routing, failure handling "
+        "or the agent pass order changed behaviour"
+    )
+
+
+def test_cycle_log_digest() -> None:
+    """The learning-cycle utilization samples stay bit-identical."""
+    digest = _cycle_log_digest()
+    assert digest == CYCLE_LOG_DIGEST, (
+        f"cycle log digest {digest} != pinned {CYCLE_LOG_DIGEST}; the "
+        "per-cycle busy/powered sums no longer add left to right"
+    )
+
+
+def test_experience_cycle_stamps_digest() -> None:
+    """Shared-memory experiences keep their learning-cycle stamps."""
+    digest = _experience_cycles_digest()
+    assert digest == EXPERIENCE_CYCLES_DIGEST, (
+        f"experience cycle digest {digest} != pinned "
+        f"{EXPERIENCE_CYCLES_DIGEST}; agents no longer count every "
+        "learning cycle"
+    )
+
+
 def test_golden_table_is_complete() -> None:
     """Every (scheduler, seed) cell has exactly one pinned digest."""
     expected_keys = {f"{s}/seed{d}" for s in SCHEDULERS for d in SEEDS}
@@ -149,3 +240,7 @@ if __name__ == "__main__":  # pragma: no cover - digest refresh helper
             print(f'    "{sched}/seed{seed_value}": "{dig}",  # {pay}')
     dig, pay = _digest(OVERLOAD_FAILURES_CONFIG)
     print(f'OVERLOAD_FAILURES_DIGEST = "{dig}"  # {pay}')
+    dig, pay = _digest(MANY_SITES_CONFIG)
+    print(f'MANY_SITES_DIGEST = "{dig}"  # {pay}')
+    print(f'CYCLE_LOG_DIGEST = "{_cycle_log_digest()}"')
+    print(f'EXPERIENCE_CYCLES_DIGEST = "{_experience_cycles_digest()}"')

@@ -214,6 +214,26 @@ class TestCorruptionDetection:
             for v in auditor.report.violations
         )
 
+    def test_stale_site_pending_cache(self):
+        env, system, auditor = make_audited_cluster()
+        site = system.sites[0]
+        assert site.pending_tasks == 0  # the read leaves the cache clean
+        site._pending_cache += 3
+        auditor.sweep()
+        bad = [
+            v for v in auditor.report.violations if v.subject == site.site_id
+        ]
+        assert bad and bad[0].invariant == INV_QUEUE
+        assert (bad[0].details["cached"], bad[0].details["fresh"]) == (3, 0)
+
+    def test_dirty_site_pending_cache_is_not_checked(self):
+        env, system, auditor = make_audited_cluster()
+        site = system.sites[0]
+        site._pending_cache = 99  # dirty: the next read recomputes it
+        auditor.sweep()
+        assert auditor.report.ok
+        assert site.pending_tasks == 0
+
     def test_clock_regression_detected(self):
         env = Environment()
         auditor = InvariantAuditor(env, on_violation="collect")
