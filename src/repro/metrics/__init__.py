@@ -11,7 +11,6 @@ from .response_time import (
     summarize_response_times,
 )
 from .stats import MeanCI, mean_ci, relative_difference
-from .fairness import SiteBreakdown, jains_index, per_site_breakdown
 from .priority_report import (
     PriorityClassReport,
     priority_report,
@@ -36,9 +35,6 @@ __all__ = [
     "utilization_by_cycles",
     "TimelineRecorder",
     "TimelineSample",
-    "jains_index",
-    "SiteBreakdown",
-    "per_site_breakdown",
     "PriorityClassReport",
     "priority_report",
     "render_priority_report",

@@ -2,12 +2,11 @@
 
 The kernel provides:
 
-- :class:`Environment` — clock, event heap, run loop;
+- :class:`Environment` — clock, event queues, one run loop;
 - :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` —
   synchronization primitives;
 - :class:`Process` — generator-based simulated processes with interrupts;
-- :class:`Store`, :class:`PriorityStore`, :class:`FilterStore`,
-  :class:`Resource`, :class:`Container` — shared-resource primitives;
+- :class:`Store` — the FIFO put/get store compute nodes queue on;
 - :class:`RandomStreams` — reproducible named RNG streams.
 
 Example
@@ -29,20 +28,7 @@ from .core import Environment, NORMAL, URGENT
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, PENDING, Timeout
 from .exceptions import EmptySchedule, Interrupt, SimulationError, StopSimulation
 from .process import Process, ProcessGenerator
-from .resources import (
-    Container,
-    FilterStore,
-    Preempted,
-    PreemptiveResource,
-    PriorityItem,
-    PriorityRequest,
-    PriorityResource,
-    PriorityStore,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
+from .resources import Store
 from .rng import RandomStreams
 
 __all__ = [
@@ -63,16 +49,5 @@ __all__ = [
     "SimulationError",
     "StopSimulation",
     "Store",
-    "PriorityStore",
-    "FilterStore",
-    "PriorityItem",
-    "Resource",
-    "Request",
-    "Release",
-    "PriorityResource",
-    "PriorityRequest",
-    "PreemptiveResource",
-    "Preempted",
-    "Container",
     "RandomStreams",
 ]

@@ -8,16 +8,13 @@ array, so bulk construction, bulk reads, and whole-population reductions
 run at C speed while per-record access stays available through thin
 view objects that hold only ``(store, row)``.
 
-Three layers build on these primitives:
+Two layers build on these primitives:
 
 - :class:`~repro.workload.taskstore.TaskStore` — task fields as columns,
   :class:`~repro.workload.task.Task` as a 2-slot view;
 - :class:`~repro.energy.meter.MeterBank` — Eq. 5 accumulators for every
   processor as columns, :class:`~repro.energy.meter.ProcessorEnergyMeter`
-  as a view;
-- :class:`TickBatch` — the kernel-level columnar event source: a sorted
-  block of bare clock ticks the run loop drains by `searchsorted`, not
-  by allocating one event object per tick.
+  as a view.
 
 Growth policy
 -------------
@@ -32,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["FloatColumn", "IntColumn", "TickBatch"]
+__all__ = ["FloatColumn", "IntColumn"]
 
 #: Smallest backing-array capacity a column allocates.
 MIN_CAPACITY = 16
@@ -184,45 +181,3 @@ class IntColumn:
             f"cap={len(self.data)}>"
         )
 
-
-class TickBatch:
-    """A sorted block of bare clock ticks scheduled as one columnar unit.
-
-    Each tick behaves exactly like a NORMAL-priority event with no
-    callbacks scheduled at its absolute time: processing it advances the
-    clock (and the event counter, when armed) and nothing else.  The
-    whole batch shares one insertion id, so the kernel's total order
-    ``(time, priority, insertion-order)`` stays strict: ticks interleave
-    with ordinary events by time, ties resolve on the batch's id, and
-    ticks within the batch fire in array order.
-
-    Because ticks carry no payload, the run loop can drain *every tick
-    that precedes the next ordinary event* with one ``searchsorted``
-    instead of one loop iteration per event — the columnar hot path
-    measured by the ``soa_ticks`` kernel-bench scenario.  Use
-    :meth:`Environment.schedule_ticks` to install one; bare ticks suit
-    pacing grids, sampling rasters, and horizon fences where only the
-    passage of simulated time matters.
-    """
-
-    __slots__ = ("times", "cursor", "eid")
-
-    def __init__(self, times: np.ndarray, eid: int) -> None:
-        self.times = times
-        self.cursor = 0
-        self.eid = eid
-
-    @property
-    def remaining(self) -> int:
-        return len(self.times) - self.cursor
-
-    @property
-    def head(self) -> float:
-        """Fire time of the next pending tick."""
-        return self.times[self.cursor]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<TickBatch eid={self.eid} remaining={self.remaining}/"
-            f"{len(self.times)}>"
-        )

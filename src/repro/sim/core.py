@@ -40,6 +40,17 @@ plain tuple comparison — exactly the total order above.  The earliest
 calendar bucket is lazily merged into the ``_active`` ring when its time
 wins the comparison (prepended, since its keys are smaller than anything
 already there).
+
+Run loop
+--------
+:meth:`Environment.step` is the reference: pop the smallest entry, run
+the audit hook, advance the clock, count the event, set the queue-depth
+gauge, run the callbacks.  :meth:`Environment.run` has one inlined copy
+of it for runs without an audit hook or a queue-depth gauge (the null
+telemetry and the sampling-only flight recorder); disabled telemetry
+costs one ``is not None`` test per event.  Audited and metered runs loop
+on :meth:`~Environment.step` instead.  The choice is made once per
+:meth:`~Environment.run` call.
 """
 
 from __future__ import annotations
@@ -49,10 +60,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Optional, Union
 
-import numpy as np
-
 from ..obs import NULL_TELEMETRY, Counter, Telemetry
-from .columnar import TickBatch
 from .events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
 from .exceptions import EmptySchedule, SimulationError, StopSimulation
 from .process import Process, ProcessGenerator
@@ -74,9 +82,8 @@ class Environment:
     telemetry:
         Optional :class:`~repro.obs.Telemetry` observing this
         environment.  Components reach it through ``env.telemetry``;
-        the default null telemetry keeps the event loop unobserved —
-        :meth:`run` selects an instrumentation-free inner loop, so
-        disabled metering costs nothing per event.
+        the default null telemetry keeps the event loop unobserved, at
+        the cost of one ``is not None`` test per event.
     """
 
     def __init__(
@@ -98,18 +105,16 @@ class Environment:
         self._times: list[float] = []
         #: Ring holding the entries of already-merged calendar buckets.
         self._active: deque[tuple[float, int, int, Event]] = deque()
-        #: Columnar bulk-tick batches (struct-of-arrays event source).
-        self._tick_batches: list[TickBatch] = []
         self._eid = count()
         self._active_proc: Optional[Process] = None
         #: Optional per-event observer for strict-mode validation
         #: (:mod:`repro.validate`).  Called with each popped entry
         #: *before* the clock advances, so it can compare the entry
         #: against the previous time and the remaining queue heads.
-        #: Must be installed before :meth:`run` — the run loop selects
-        #: its unhooked fast path once per call.  ``None`` (the
-        #: default) keeps the fast path selected: disabled auditing
-        #: costs one attribute check per run() call, not per event.
+        #: Must be installed before :meth:`run`, which picks its loop
+        #: once per call.  ``None`` (the default) keeps the inlined
+        #: loop: disabled auditing costs one attribute check per run()
+        #: call, not per event.
         self._audit_hook = None
         self.telemetry: Telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
@@ -151,10 +156,6 @@ class Environment:
             best = self._normal[0][0]
         if self._times and self._times[0] < best:
             best = self._times[0]
-        for batch in self._tick_batches:
-            head = batch.times[batch.cursor]
-            if head < best:
-                best = float(head)
         return best
 
     @property
@@ -174,7 +175,6 @@ class Environment:
             + len(self._urgent)
             + len(self._normal)
             + sum(len(bucket) for bucket in self._buckets.values())
-            + sum(batch.remaining for batch in self._tick_batches)
         )
 
     # -- factories -------------------------------------------------------
@@ -203,7 +203,7 @@ class Environment:
         self, event: Event, priority: int = NORMAL, delay: float = 0.0
     ) -> None:
         """Queue *event* to be processed after *delay* time units."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative delay {delay}")
         if delay == 0:
             entry = (self._now, priority, next(self._eid), event)
@@ -243,7 +243,7 @@ class Environment:
         or sliced and batch runs diverge.
         """
         time = float(time)
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule at {time}, before the current time "
                 f"({self._now})"
@@ -267,71 +267,6 @@ class Environment:
                 bucket.append(entry)
             return
         heappush(self._queue, (time, priority, next(self._eid), event))
-
-    def schedule_ticks(self, times) -> TickBatch:
-        """Schedule a sorted block of bare clock ticks as one columnar unit.
-
-        *times* is a non-decreasing 1-D array of absolute fire times, all
-        at or after ``now``.  Each tick is processed exactly like a
-        NORMAL-priority event with no callbacks: the clock advances to
-        its time (and the event counter, when armed, counts it) and
-        nothing else happens.  The whole batch consumes a single
-        insertion id, so ticks keep their place in the kernel's
-        ``(time, priority, insertion-order)`` total order: they fire
-        after previously scheduled same-time events and before later
-        ones, and in array order within the batch.
-
-        Because ticks are payload-free, the run loop drains every tick
-        that precedes the next ordinary event with one ``searchsorted``
-        instead of a Python iteration per event — see
-        :class:`~repro.sim.columnar.TickBatch`.  Use bare ticks for
-        pacing grids, sampling rasters, and horizon fences where only
-        the passage of simulated time matters; anything that must *react*
-        to a time needs a :class:`Timeout`.
-        """
-        arr = np.array(times, dtype=np.float64, copy=True)
-        if arr.ndim != 1:
-            raise ValueError("tick times must be a 1-D array")
-        if len(arr) == 0:
-            raise ValueError("tick batch must contain at least one time")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tick times must be finite")
-        if len(arr) > 1 and np.any(np.diff(arr) < 0):
-            raise ValueError("tick times must be non-decreasing")
-        if arr[0] < self._now:
-            raise ValueError(
-                f"cannot schedule ticks at {arr[0]}, before the current "
-                f"time ({self._now})"
-            )
-        batch = TickBatch(arr, next(self._eid))
-        self._tick_batches.append(batch)
-        return batch
-
-    def _best_tick_batch(self) -> Optional[TickBatch]:
-        """The batch whose head tick fires first (ties on batch id)."""
-        batches = self._tick_batches
-        if not batches:
-            return None
-        best = batches[0]
-        for batch in batches[1:]:
-            head = batch.times[batch.cursor]
-            best_head = best.times[best.cursor]
-            if head < best_head or (
-                head == best_head and batch.eid < best.eid
-            ):
-                best = batch
-        return best
-
-    def _pop_tick(self, batch: TickBatch) -> tuple[float, int, int, Event]:
-        """Consume *batch*'s head tick; returns a synthetic bare entry."""
-        at = float(batch.times[batch.cursor])
-        batch.cursor += 1
-        if batch.cursor == len(batch.times):
-            self._tick_batches.remove(batch)
-        tick = Event(self)
-        tick._ok = True
-        tick._value = None
-        return (at, NORMAL, batch.eid, tick)
 
     def _pop(self) -> Optional[tuple[float, int, int, Event]]:
         """Pop the globally smallest scheduled entry, or None if empty."""
@@ -357,28 +292,6 @@ class Environment:
                 best = head
                 source = 3
         times = self._times
-        if self._tick_batches:
-            # A bare tick's key is (time, NORMAL, batch-eid); pop it when
-            # it beats the best head AND the earliest calendar bucket.
-            tb = self._best_tick_batch()
-            t = tb.times[tb.cursor]
-            tick_wins = (
-                best is None
-                or t < best[0]
-                or (
-                    t == best[0]
-                    and (
-                        best[1] > NORMAL
-                        or (best[1] == NORMAL and tb.eid < best[2])
-                    )
-                )
-            )
-            if tick_wins and times:
-                at = times[0]
-                if at < t or (at == t and self._buckets[at][0][2] < tb.eid):
-                    tick_wins = False
-            if tick_wins:
-                return self._pop_tick(tb)
         if times:
             at = times[0]
             # The earliest calendar bucket wins when its time beats the
@@ -439,7 +352,7 @@ class Environment:
             ``None`` — run until the event queue is exhausted;
             a number — run until simulated time reaches it (``until ==
             now`` is allowed and returns immediately without processing
-            same-time events; only ``until < now`` is rejected);
+            same-time events; ``until < now`` and NaN are rejected);
             an :class:`Event` — run until that event is processed and
             return its value.
         """
@@ -453,7 +366,7 @@ class Environment:
                 at_event = until
             else:
                 at = float(until)
-                if at < self._now:
+                if not at >= self._now:  # also rejects NaN
                     raise ValueError(
                         f"until ({at}) must not be smaller than the current "
                         f"time ({self._now})"
@@ -468,252 +381,69 @@ class Environment:
                 # float accumulation).
                 heappush(self._queue, (at, URGENT - 1, next(self._eid), stop))
 
-        # The inner loops below are step() with _pop() inlined and every
-        # container bound to a local (all are mutated in place, never
-        # rebound, so the locals stay valid across callbacks); the metered
-        # variant exists so the common NULL_TELEMETRY path carries no
-        # instrumentation at all.  An installed audit hook also forces
-        # the general loop — the choice is made once here, never per
-        # event, so disabled auditing is free.
-        queue = self._queue
-        urgent = self._urgent
-        normal = self._normal
-        active = self._active
-        times = self._times
-        buckets = self._buckets
-        tick_batches = self._tick_batches
-        c_events = self._c_events
-        audit = self._audit_hook
         try:
-            if c_events is None and audit is None:
-                while True:
-                    best = queue[0] if queue else None
-                    source = 0
-                    if active:
-                        head = active[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 1
-                    if urgent:
-                        head = urgent[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 2
-                    if normal:
-                        head = normal[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 3
-                    if tick_batches:
-                        tb = tick_batches[0]
-                        if len(tick_batches) > 1:
-                            for other in tick_batches[1:]:
-                                h = other.times[other.cursor]
-                                bh = tb.times[tb.cursor]
-                                if h < bh or (h == bh and other.eid < tb.eid):
-                                    tb = other
-                        arr = tb.times
-                        cur = tb.cursor
-                        t = arr[cur]
-                        tick_wins = (
-                            best is None
-                            or t < best[0]
-                            or (
-                                t == best[0]
-                                and (
-                                    best[1] > NORMAL
-                                    or (
-                                        best[1] == NORMAL
-                                        and tb.eid < best[2]
-                                    )
-                                )
-                            )
-                        )
-                        if tick_wins and times:
-                            at = times[0]
-                            if at < t or (
-                                at == t and buckets[at][0][2] < tb.eid
-                            ):
-                                tick_wins = False
-                        if tick_wins:
-                            # Columnar drain: every tick strictly before
-                            # the next ordinary event (or the equal-time
-                            # run, when the tick won a tie) falls in one
-                            # searchsorted instead of one loop iteration
-                            # per event.
-                            bound = best[0] if best is not None else None
-                            if times and (bound is None or times[0] < bound):
-                                bound = times[0]
-                            for other in tick_batches:
-                                if other is not tb:
-                                    h = other.times[other.cursor]
-                                    if bound is None or h < bound:
-                                        bound = h
-                            if bound is None:
-                                end = len(arr)
-                            elif t < bound:
-                                end = int(
-                                    np.searchsorted(arr, bound, side="left")
-                                )
-                            else:
-                                end = int(
-                                    np.searchsorted(arr, t, side="right")
-                                )
-                            self._now = float(arr[end - 1])
-                            tb.cursor = end
-                            if end == len(arr):
-                                tick_batches.remove(tb)
-                            continue
-                    if times:
-                        at = times[0]
-                        if (
-                            best is None
-                            or at < best[0]
-                            or (at == best[0] and buckets[at][0] < best)
-                        ):
-                            heappop(times)
-                            active.extendleft(reversed(buckets.pop(at)))
-                            source = 1
-                    elif best is None:
-                        break
-                    if source == 1:
-                        entry = active.popleft()
-                    elif source == 2:
-                        entry = urgent.popleft()
-                    elif source == 3:
-                        entry = normal.popleft()
-                    else:
-                        entry = heappop(queue)
-                    self._now, _, _, event = entry
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-            elif audit is None and self._g_queue is None:
-                # Flight-recorder-only: the same inlined loop plus one
-                # float add per event.  The counter must stay live (the
-                # sampler's events/sec probe reads it mid-run), so it
-                # cannot be batched into a local.
-                while True:
-                    best = queue[0] if queue else None
-                    source = 0
-                    if active:
-                        head = active[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 1
-                    if urgent:
-                        head = urgent[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 2
-                    if normal:
-                        head = normal[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 3
-                    if tick_batches:
-                        tb = tick_batches[0]
-                        if len(tick_batches) > 1:
-                            for other in tick_batches[1:]:
-                                h = other.times[other.cursor]
-                                bh = tb.times[tb.cursor]
-                                if h < bh or (h == bh and other.eid < tb.eid):
-                                    tb = other
-                        arr = tb.times
-                        cur = tb.cursor
-                        t = arr[cur]
-                        tick_wins = (
-                            best is None
-                            or t < best[0]
-                            or (
-                                t == best[0]
-                                and (
-                                    best[1] > NORMAL
-                                    or (
-                                        best[1] == NORMAL
-                                        and tb.eid < best[2]
-                                    )
-                                )
-                            )
-                        )
-                        if tick_wins and times:
-                            at = times[0]
-                            if at < t or (
-                                at == t and buckets[at][0][2] < tb.eid
-                            ):
-                                tick_wins = False
-                        if tick_wins:
-                            bound = best[0] if best is not None else None
-                            if times and (bound is None or times[0] < bound):
-                                bound = times[0]
-                            for other in tick_batches:
-                                if other is not tb:
-                                    h = other.times[other.cursor]
-                                    if bound is None or h < bound:
-                                        bound = h
-                            if bound is None:
-                                end = len(arr)
-                            elif t < bound:
-                                end = int(
-                                    np.searchsorted(arr, bound, side="left")
-                                )
-                            else:
-                                end = int(
-                                    np.searchsorted(arr, t, side="right")
-                                )
-                            self._now = float(arr[end - 1])
-                            tb.cursor = end
-                            if end == len(arr):
-                                tick_batches.remove(tb)
-                            c_events.value += end - cur
-                            continue
-                    if times:
-                        at = times[0]
-                        if (
-                            best is None
-                            or at < best[0]
-                            or (at == best[0] and buckets[at][0] < best)
-                        ):
-                            heappop(times)
-                            active.extendleft(reversed(buckets.pop(at)))
-                            source = 1
-                    elif best is None:
-                        break
-                    if source == 1:
-                        entry = active.popleft()
-                    elif source == 2:
-                        entry = urgent.popleft()
-                    elif source == 3:
-                        entry = normal.popleft()
-                    else:
-                        entry = heappop(queue)
-                    self._now, _, _, event = entry
-                    c_events.value += 1
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
+            if self._audit_hook is not None or self._g_queue is not None:
+                # step() already runs the audit hook, the counter and the
+                # queue-depth gauge.
+                try:
+                    while True:
+                        self.step()
+                except EmptySchedule:
+                    pass
             else:
-                g_queue = self._g_queue
+                # step() with _pop() inlined and every container bound to
+                # a local (all are mutated in place, never rebound, so the
+                # locals stay valid across callbacks).  The sampling-only
+                # flight recorder's counter stays live: its events/sec
+                # probe reads it mid-run.
+                queue = self._queue
+                urgent = self._urgent
+                normal = self._normal
+                active = self._active
+                times = self._times
+                buckets = self._buckets
+                c_events = self._c_events
                 while True:
-                    entry = self._pop()
-                    if entry is None:
+                    best = queue[0] if queue else None
+                    source = 0
+                    if active:
+                        head = active[0]
+                        if best is None or head < best:
+                            best = head
+                            source = 1
+                    if urgent:
+                        head = urgent[0]
+                        if best is None or head < best:
+                            best = head
+                            source = 2
+                    if normal:
+                        head = normal[0]
+                        if best is None or head < best:
+                            best = head
+                            source = 3
+                    if times:
+                        at = times[0]
+                        if (
+                            best is None
+                            or at < best[0]
+                            or (at == best[0] and buckets[at][0] < best)
+                        ):
+                            heappop(times)
+                            active.extendleft(reversed(buckets.pop(at)))
+                            source = 1
+                    elif best is None:
                         break
-                    if audit is not None:
-                        audit(entry)
+                    if source == 1:
+                        entry = active.popleft()
+                    elif source == 2:
+                        entry = urgent.popleft()
+                    elif source == 3:
+                        entry = normal.popleft()
+                    else:
+                        entry = heappop(queue)
                     self._now, _, _, event = entry
                     if c_events is not None:
                         c_events.value += 1
-                        if g_queue is not None:
-                            g_queue.set(
-                                len(queue) + len(active) + len(urgent)
-                                + len(normal)
-                                + sum(len(b) for b in buckets.values())
-                                + sum(b.remaining for b in tick_batches)
-                            )
                     callbacks, event.callbacks = event.callbacks, None
                     for callback in callbacks:
                         callback(event)

@@ -175,7 +175,7 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: object = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative delay {delay}")
         # Inlined Event.__init__ + Environment.schedule: timeouts are the
         # single most-allocated object in a simulation run.

@@ -1,38 +1,22 @@
-"""Shared-resource primitives: stores, priority stores, resources, containers.
+"""The FIFO :class:`Store`, the kernel's one shared-resource primitive.
 
-These follow the simpy put/get event protocol: ``store.put(item)`` and
+It follows the simpy put/get event protocol: ``store.put(item)`` and
 ``store.get()`` return events that processes yield on; the kernel resolves
-them as capacity/items become available, in FIFO request order.
+them as capacity/items become available, in FIFO request order.  Compute
+nodes use it for their group queue and their ready hand-off
+(:mod:`repro.cluster.node`).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any
 
 from .events import NORMAL, PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Environment
 
-__all__ = [
-    "StorePut",
-    "StoreGet",
-    "Store",
-    "PriorityItem",
-    "PriorityStore",
-    "FilterStore",
-    "ContainerPut",
-    "ContainerGet",
-    "Container",
-    "Request",
-    "Release",
-    "Resource",
-    "PriorityRequest",
-    "PriorityResource",
-    "PreemptiveResource",
-    "Preempted",
-]
+__all__ = ["StorePut", "StoreGet", "Store"]
 
 
 class StorePut(Event):
@@ -92,16 +76,6 @@ class Store:
         self._put_queue: list[StorePut] = []
         self._get_queue: list[StoreGet] = []
 
-    @property
-    def capacity(self) -> float:
-        """Maximum number of items the store holds."""
-        return self._capacity
-
-    @property
-    def level(self) -> int:
-        """Number of items currently stored."""
-        return len(self.items)
-
     def put(self, item: Any) -> StorePut:
         """Request to add *item*; returns the request event."""
         return StorePut(self, item)
@@ -110,26 +84,9 @@ class Store:
         """Request to remove the oldest item; returns the request event."""
         return StoreGet(self)
 
-    # -- internal fulfillment -------------------------------------------
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            self.items.append(event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(self.items.pop(0))
-            return True
-        return False
-
     def _trigger_events(self) -> None:
         # Alternate put/get fulfillment until neither side can progress.
-        # This specialized loop inlines _do_put/_do_get/succeed for the
-        # plain FIFO store (it runs on every put/get); subclasses with
-        # different item disciplines override it with the generic
-        # polymorphic loop (`_trigger_events_generic`).
+        # succeed() is inlined: this runs on every put/get.
         items = self.items
         capacity = self._capacity
         put_queue = self._put_queue
@@ -155,372 +112,3 @@ class Store:
                 env._normal.append((env._now, NORMAL, next(env._eid), head))
                 get_queue.pop(0)
                 progressed = True
-
-    def _trigger_events_generic(self) -> None:
-        # Polymorphic fulfillment through _do_put/_do_get, for stores
-        # that override the item discipline.
-        put_queue = self._put_queue
-        get_queue = self._get_queue
-        progressed = True
-        while progressed:
-            progressed = False
-            while put_queue:
-                head = put_queue[0]
-                if head._value is not PENDING or not self._do_put(head):
-                    break
-                put_queue.pop(0)
-                progressed = True
-            while get_queue:
-                head = get_queue[0]
-                if head._value is not PENDING or not self._do_get(head):
-                    break
-                get_queue.pop(0)
-                progressed = True
-
-
-class PriorityItem:
-    """Wrapper ordering store items by a priority key (lower first)."""
-
-    __slots__ = ("priority", "item")
-
-    def __init__(self, priority: Any, item: Any) -> None:
-        self.priority = priority
-        self.item = item
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return self.priority < other.priority
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PriorityItem):
-            return NotImplemented
-        return self.priority == other.priority and self.item == other.item
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PriorityItem({self.priority!r}, {self.item!r})"
-
-
-class PriorityStore(Store):
-    """Store that yields items in ascending priority order.
-
-    Items must be mutually comparable; use :class:`PriorityItem` to attach
-    explicit priorities to arbitrary payloads.
-    """
-
-    _trigger_events = Store._trigger_events_generic
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            heapq.heappush(self.items, event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(heapq.heappop(self.items))
-            return True
-        return False
-
-
-class FilterStore(Store):
-    """Store whose get requests carry a predicate over items."""
-
-    def get(self, filter: Callable[[Any], bool] = lambda item: True) -> "FilterStoreGet":
-        return FilterStoreGet(self, filter)
-
-    def _do_get(self, event: "FilterStoreGet") -> bool:  # type: ignore[override]
-        for i, item in enumerate(self.items):
-            if event.filter(item):
-                del self.items[i]
-                event.succeed(item)
-                return True
-        return False
-
-    def _trigger_events(self) -> None:
-        # FilterStore gets may be satisfiable out of FIFO order: scan all.
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._put_queue:
-                head = self._put_queue[0]
-                if head._value is not PENDING or not self._do_put(head):
-                    break
-                self._put_queue.pop(0)
-                progressed = True
-            for event in list(self._get_queue):
-                if event._value is PENDING and self._do_get(event):
-                    self._get_queue.remove(event)
-                    progressed = True
-
-
-class FilterStoreGet(StoreGet):
-    """Get request with an item predicate."""
-
-    __slots__ = ("filter",)
-
-    def __init__(self, store: FilterStore, filter: Callable[[Any], bool]) -> None:
-        self.filter = filter
-        super().__init__(store)
-
-
-class ContainerPut(Event):
-    """Request to add *amount* to a container."""
-
-    __slots__ = ("amount", "container")
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        self.container = container
-        container._put_queue.append(self)
-        container._trigger_events()
-
-
-class ContainerGet(Event):
-    """Request to remove *amount* from a container."""
-
-    __slots__ = ("amount", "container")
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        self.container = container
-        container._get_queue.append(self)
-        container._trigger_events()
-
-
-class Container:
-    """Continuous-quantity resource (e.g., an energy budget or fuel tank)."""
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie in [0, capacity]")
-        self.env = env
-        self._capacity = capacity
-        self._level = init
-        self._put_queue: list[ContainerPut] = []
-        self._get_queue: list[ContainerGet] = []
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        """Current stored amount."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _trigger_events(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._put_queue and not self._put_queue[0].triggered:
-                event = self._put_queue[0]
-                if self._level + event.amount <= self._capacity:
-                    self._level += event.amount
-                    event.succeed()
-                    self._put_queue.pop(0)
-                    progressed = True
-                else:
-                    break
-            while self._get_queue and not self._get_queue[0].triggered:
-                event = self._get_queue[0]
-                if self._level >= event.amount:
-                    self._level -= event.amount
-                    event.succeed()
-                    self._get_queue.pop(0)
-                    progressed = True
-                else:
-                    break
-
-
-class Request(Event):
-    """Request for one slot of a :class:`Resource` (context-manager aware)."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._queue.append(self)
-        resource._trigger_events()
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw an unfulfilled request."""
-        if not self.triggered and self in self.resource._queue:
-            self.resource._queue.remove(self)
-
-
-class Release(Event):
-    """Event returned by :meth:`Resource.release`; triggers immediately."""
-
-    __slots__ = ("request",)
-
-    def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
-        self.request = request
-        self.succeed()
-
-
-class Resource:
-    """Semaphore-style resource with *capacity* identical slots."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self._capacity = capacity
-        self.users: list[Request] = []
-        self._queue: list[Request] = []
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self.users)
-
-    @property
-    def queue(self) -> list[Request]:
-        """Pending (ungranted) requests, FIFO."""
-        return [r for r in self._queue if not r.triggered]
-
-    def request(self) -> Request:
-        return Request(self)
-
-    def release(self, request: Request) -> Release:
-        if request in self.users:
-            self.users.remove(request)
-        else:
-            request.cancel()
-        self._trigger_events()
-        return Release(self, request)
-
-    def _trigger_events(self) -> None:
-        while self._queue and len(self.users) < self._capacity:
-            req = self._queue.pop(0)
-            if req.triggered:
-                continue
-            self.users.append(req)
-            req.succeed()
-
-
-class Preempted(Exception):
-    """Cause delivered to a process whose resource slot was preempted.
-
-    Carries the preempting request (``by``) and the simulated time the
-    victim had held the slot since (``usage_since``).
-    """
-
-    def __init__(self, by: "PriorityRequest", usage_since: float) -> None:
-        super().__init__(by, usage_since)
-        self.by = by
-        self.usage_since = usage_since
-
-
-class PriorityRequest(Request):
-    """Resource request with a priority (lower = more important)."""
-
-    __slots__ = ("priority", "preempt", "time", "process")
-
-    def __init__(
-        self,
-        resource: "PriorityResource",
-        priority: float = 0.0,
-        preempt: bool = True,
-    ) -> None:
-        self.priority = priority
-        self.preempt = preempt
-        self.time: float = resource.env.now
-        #: The process that issued the request (for preemption delivery).
-        self.process = resource.env.active_process
-        super().__init__(resource)
-
-
-class PriorityResource(Resource):
-    """Resource whose waiting queue is served in priority order.
-
-    Ties break by request time then insertion order (FIFO within a
-    priority class).  Does not preempt current users — see
-    :class:`PreemptiveResource` for that.
-    """
-
-    def request(self, priority: float = 0.0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority, preempt=False)
-
-    def _sort_queue(self) -> None:
-        self._queue.sort(
-            key=lambda r: (
-                getattr(r, "priority", 0.0),
-                getattr(r, "time", 0.0),
-            )
-        )
-
-    def _trigger_events(self) -> None:
-        self._sort_queue()
-        super()._trigger_events()
-
-
-class PreemptiveResource(PriorityResource):
-    """Priority resource that evicts lower-priority users when full.
-
-    A preempting request interrupts the victim's process with a
-    :class:`Preempted` cause; the victim's slot is released immediately.
-    """
-
-    def request(  # type: ignore[override]
-        self, priority: float = 0.0, preempt: bool = True
-    ) -> PriorityRequest:
-        return PriorityRequest(self, priority, preempt=preempt)
-
-    def _trigger_events(self) -> None:
-        self._sort_queue()
-        # Preemption check: the best waiting request may evict the worst
-        # current user if strictly more important.
-        while self._queue and len(self.users) >= self._capacity:
-            candidate = self._queue[0]
-            if candidate.triggered or not getattr(candidate, "preempt", False):
-                break
-            victim = max(
-                self.users,
-                key=lambda r: (
-                    getattr(r, "priority", 0.0),
-                    getattr(r, "time", 0.0),
-                ),
-            )
-            if getattr(victim, "priority", 0.0) <= getattr(
-                candidate, "priority", 0.0
-            ):
-                break
-            self.users.remove(victim)
-            process = getattr(victim, "process", None)
-            if process is not None and process.is_alive:
-                process.interrupt(
-                    Preempted(candidate, getattr(victim, "time", 0.0))
-                )
-        super()._trigger_events()

@@ -155,3 +155,63 @@ class TestFactories:
         t3, t4 = env.timeout(1), env.timeout(2)
         env.run(until=env.all_of([t3, t4]))
         assert env.now == 3
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteTimes:
+    """NaN compares false with everything, so a ``delay < 0`` guard
+    would let it into the calendar and the clock would leave the
+    ``(time, priority, insertion-order)`` total order."""
+
+    def test_nan_timeout_rejected(self, env):
+        with pytest.raises(ValueError):
+            env.timeout(NAN)
+        assert env.queue_size == 0
+
+    def test_nan_schedule_delay_rejected(self, env):
+        with pytest.raises(ValueError):
+            env.schedule(Event(env), delay=NAN)
+        with pytest.raises(ValueError):
+            env.schedule(Event(env), priority=URGENT, delay=NAN)
+        assert env.queue_size == 0
+
+    def test_nan_schedule_at_rejected(self, env):
+        with pytest.raises(ValueError):
+            env.schedule_at(Event(env), NAN)
+        assert env.queue_size == 0
+
+    def test_nan_run_until_rejected(self, env):
+        env.timeout(1)
+        with pytest.raises(ValueError):
+            env.run(until=NAN)
+        assert env.queue_size == 1
+        env.run()
+        assert env.now == 1
+
+    def test_nan_timeout_fails_its_process(self, env):
+        resumed = []
+
+        def waiter(env, delay):
+            yield env.timeout(delay)
+            resumed.append(env.now)
+
+        for delay in (5, NAN, 1, 3, 2):
+            env.process(waiter(env, delay))
+        with pytest.raises(ValueError):
+            env.run()
+        env.run()
+        assert resumed == [1.0, 2.0, 3.0, 5.0]
+
+    def test_inf_stays_allowed(self, env):
+        fired = []
+        env.timeout(INF).callbacks.append(lambda e: fired.append(env.now))
+        env.schedule_at(Event(env), INF)
+        env.timeout(2)
+        env.run(until=INF)
+        assert env.now == INF
+        assert fired == []
+        env.run()
+        assert fired == [INF]

@@ -1,16 +1,8 @@
-"""Unit tests for stores, resources, and containers."""
+"""Unit tests for the FIFO store."""
 
 import pytest
 
-from repro.sim import (
-    Container,
-    Environment,
-    FilterStore,
-    PriorityItem,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.sim import Store
 
 
 class TestStore:
@@ -76,7 +68,7 @@ class TestStore:
         store = Store(env)
         store.put("x")
         env.run()
-        assert store.level == 1
+        assert len(store.items) == 1
 
     def test_get_cancel_removes_request(self, env):
         store = Store(env)
@@ -116,183 +108,3 @@ class TestStore:
         env.run()
         assert got == [("first", 1), ("second", 2)]
 
-
-class TestPriorityStore:
-    def test_items_come_out_in_priority_order(self, env):
-        store = PriorityStore(env)
-        for p in (5, 1, 3):
-            store.put(p)
-        env.run()
-        got = []
-
-        def consumer(env):
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-        assert got == [1, 3, 5]
-
-    def test_priority_item_wrapper(self, env):
-        store = PriorityStore(env)
-        store.put(PriorityItem(2, "medium"))
-        store.put(PriorityItem(1, "urgent"))
-        env.run()
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-        assert got[0].item == "urgent"
-
-    def test_priority_item_comparison(self):
-        assert PriorityItem(1, "a") < PriorityItem(2, "z")
-        assert PriorityItem(1, "a") == PriorityItem(1, "a")
-
-
-class TestFilterStore:
-    def test_get_with_predicate(self, env):
-        store = FilterStore(env)
-        for i in range(5):
-            store.put(i)
-        env.run()
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get(lambda x: x % 2 == 1)))
-
-        env.process(consumer(env))
-        env.run()
-        assert got == [1]
-        assert 1 not in store.items
-
-    def test_unmatched_predicate_waits(self, env):
-        store = FilterStore(env)
-        store.put("wrong")
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get(lambda x: x == "right")))
-
-        def producer(env):
-            yield env.timeout(2)
-            yield store.put("right")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == ["right"]
-        assert env.now == 2
-
-
-class TestResource:
-    def test_capacity_enforced(self, env):
-        res = Resource(env, capacity=1)
-        timeline = []
-
-        def user(env, name, hold):
-            req = res.request()
-            yield req
-            timeline.append((name, "acquired", env.now))
-            yield env.timeout(hold)
-            res.release(req)
-
-        env.process(user(env, "a", 3))
-        env.process(user(env, "b", 1))
-        env.run()
-        assert timeline == [("a", "acquired", 0), ("b", "acquired", 3)]
-
-    def test_context_manager_releases(self, env):
-        res = Resource(env, capacity=1)
-        acquired = []
-
-        def user(env, name):
-            with res.request() as req:
-                yield req
-                acquired.append((name, env.now))
-                yield env.timeout(1)
-
-        env.process(user(env, "a"))
-        env.process(user(env, "b"))
-        env.run()
-        assert acquired == [("a", 0), ("b", 1)]
-
-    def test_count_and_queue(self, env):
-        res = Resource(env, capacity=2)
-
-        def holder(env):
-            req = res.request()
-            yield req
-            yield env.timeout(10)
-
-        for _ in range(3):
-            env.process(holder(env))
-        env.run(until=1)
-        assert res.count == 2
-        assert len(res.queue) == 1
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
-
-
-class TestContainer:
-    def test_put_and_get_amounts(self, env):
-        c = Container(env, capacity=10, init=5)
-
-        def proc(env):
-            yield c.get(3)
-            assert c.level == 2
-            yield c.put(6)
-            assert c.level == 8
-
-        env.process(proc(env))
-        env.run()
-        assert c.level == 8
-
-    def test_get_blocks_until_available(self, env):
-        c = Container(env, capacity=10, init=0)
-        times = []
-
-        def getter(env):
-            yield c.get(4)
-            times.append(env.now)
-
-        def putter(env):
-            yield env.timeout(2)
-            yield c.put(4)
-
-        env.process(getter(env))
-        env.process(putter(env))
-        env.run()
-        assert times == [2]
-
-    def test_put_blocks_at_capacity(self, env):
-        c = Container(env, capacity=5, init=5)
-        times = []
-
-        def putter(env):
-            yield c.put(2)
-            times.append(env.now)
-
-        def getter(env):
-            yield env.timeout(3)
-            yield c.get(2)
-
-        env.process(putter(env))
-        env.process(getter(env))
-        env.run()
-        assert times == [3]
-
-    def test_invalid_args(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=5, init=9)
-        c = Container(env, capacity=5)
-        with pytest.raises(ValueError):
-            c.put(0)
-        with pytest.raises(ValueError):
-            c.get(-1)
