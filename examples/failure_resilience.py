@@ -16,9 +16,34 @@ import sys
 
 from repro.cluster import FailureInjector, FailureModel, PlatformSpec, build_system
 from repro.core import AdaptiveRLScheduler
-from repro.metrics import TimelineRecorder, collect_metrics
+from repro.metrics import collect_metrics
+from repro.obs import PeriodicSampler, SeriesBank
 from repro.sim import Environment, RandomStreams
 from repro.workload import WorkloadGenerator, WorkloadSpec
+
+
+def ascii_plot(times, values, width=70, height=8):
+    """Render a sampled series as a small ASCII chart."""
+    if len(values) < 2:
+        return "(insufficient samples)"
+    lo, hi = min(values), max(values)
+    span = hi - lo or 1.0
+    # Bucket the samples down to the requested width.
+    step = max(1, len(values) // width)
+    cols = [
+        sum(values[i : i + step]) / len(values[i : i + step])
+        for i in range(0, len(values), step)
+    ][:width]
+    rows = [
+        "".join(
+            "#" if c >= lo + span * (level - 0.5) / height else " "
+            for c in cols
+        )
+        for level in range(height, 0, -1)
+    ]
+    rows.append("-" * len(cols))
+    rows.append(f"power: {lo:.0f}–{hi:.0f} W over t=[0, {times[-1]:.0f}]")
+    return "\n".join(rows)
 
 
 def main() -> None:
@@ -46,7 +71,17 @@ def main() -> None:
     done = scheduler.expect(len(tasks))
     model = FailureModel(mean_time_between_failures=mtbf, mean_time_to_repair=60.0)
     injector = FailureInjector(env, system.nodes, model, streams)
-    recorder = TimelineRecorder(env, system, interval=10.0, scheduler=scheduler)
+
+    def site_power(bank, now):
+        for site in system.sites:
+            draw = sum(s.total_power_w for s in site.states())
+            bank.record(f"power.site.{site.site_id}", now, draw)
+
+    # Sample every 10 time units; the run itself stops at `done`.
+    bank = SeriesBank()
+    PeriodicSampler(
+        bank, every=10.0, until=float("inf"), probes=[site_power]
+    ).attach(env)
 
     def arrivals():
         for t in tasks:
@@ -70,8 +105,11 @@ def main() -> None:
           f"success: {metrics.success_rate:.1%}   "
           f"ECS: {metrics.ecs / 1e6:.3f}M")
     print()
+    sites = [bank.get(f"power.site.{site.site_id}") for site in system.sites]
+    times = sites[0].times().tolist()
+    platform = [sum(draws) for draws in zip(*(s.values().tolist() for s in sites))]
     print("instantaneous platform power:")
-    print(recorder.ascii_power_plot(width=70, height=8))
+    print(ascii_plot(times, platform))
 
 
 if __name__ == "__main__":

@@ -160,8 +160,8 @@ class ComputeNode:
         # bit-identical; the flags are raised at every mutation point
         # (admission, completion, failure, power transitions).
         self._work_dirty = True
-        #: Site whose cached pending count covers this node; set by
-        #: :class:`~repro.cluster.site.ResourceSite`.
+        #: Site whose cached pending count and state version cover this
+        #: node; set by :class:`~repro.cluster.site.ResourceSite`.
         self._site: Optional[ResourceSite] = None
         self._load_cache = 0.0
         self._pending_tasks_cache = 0
@@ -251,15 +251,25 @@ class ComputeNode:
 
     def _mark_work_dirty(self) -> None:
         """Invalidate the admitted-work caches, here and in the site's
-        pending count (admission, task or group completion, failure)."""
+        pending count (admission, task or group completion, failure),
+        and bump the site's state version."""
         self._work_dirty = True
         site = self._site
         if site is not None:
             site._pending_dirty = True
+            site.version += 1
 
     def _mark_power_dirty(self) -> None:
-        """Invalidate power-derived caches (meter or DVFS transition)."""
+        """Invalidate power-derived caches (meter or DVFS transition)
+        and bump the site's state version."""
         self._power_dirty = True
+        self._bump_site_version()
+
+    def _bump_site_version(self) -> None:
+        """Tell the site's cached readers that this node changed."""
+        site = self._site
+        if site is not None:
+            site.version += 1
 
     @property
     def load(self) -> float:
@@ -371,6 +381,8 @@ class ComputeNode:
             put_req = None
             try:
                 get_req = self.queue.get()
+                # A queued group may have been popped: a slot is free.
+                self._bump_site_version()
                 group: TaskGroup = yield get_req
                 group.dispatched_at = self.env.now
                 self._notify_slot_freed()
@@ -426,12 +438,12 @@ class ComputeNode:
                     if not get_ev.triggered:
                         if not self.sleep_policy.allow_sleep:
                             proc.meter.set_state(ProcState.IDLE, env.now)
-                            self._power_dirty = True
+                            self._mark_power_dirty()
                             yield env.timeout(policy.wake_latency)
                         continue
                     item = get_ev.value
                     proc.meter.set_state(ProcState.IDLE, env.now)
-                    self._power_dirty = True
+                    self._mark_power_dirty()
                     yield env.timeout(policy.wake_latency)
                 elif policy.allow_sleep:
                     timeout = env.timeout(policy.idle_timeout)
@@ -444,7 +456,7 @@ class ComputeNode:
                         # processors are preferred for incoming work.
                         get_ev.cancel()
                         proc.meter.set_state(ProcState.SLEEP, env.now)
-                        self._power_dirty = True
+                        self._mark_power_dirty()
                         get_ev = self._ready.get()
                         continue
                     item = get_ev.value
@@ -460,12 +472,12 @@ class ComputeNode:
                 proc.meter.set_state(
                     ProcState.BUSY, env.now, power_w=proc.busy_power_w
                 )
-                self._power_dirty = True
+                self._mark_power_dirty()
                 task.mark_started(env.now, proc.pid, self.site_id)
                 yield env.timeout(proc.execution_time(task.size_mi))
                 task.mark_finished(env.now)
                 proc.meter.set_state(ProcState.IDLE, env.now)
-                self._power_dirty = True
+                self._mark_power_dirty()
                 self._mark_work_dirty()
                 proc.tasks_completed += 1
                 self.tasks_completed += 1
@@ -482,10 +494,10 @@ class ComputeNode:
                 if not get_ev.triggered:
                     get_ev.cancel()
                 proc.meter.set_state(ProcState.SLEEP, env.now)
-                self._power_dirty = True
+                self._mark_power_dirty()
                 yield self._repair_event
                 proc.meter.set_state(ProcState.IDLE, env.now)
-                self._power_dirty = True
+                self._mark_power_dirty()
                 get_ev = self._ready.get()
 
     # -- failure injection ---------------------------------------------------
@@ -537,6 +549,7 @@ class ComputeNode:
         if not self.failed:
             return
         self.failed = False
+        self._bump_site_version()
         old, self._repair_event = self._repair_event, Event(self.env)
         if not old.triggered:
             old.succeed()

@@ -42,6 +42,13 @@ class ResourceSite:
         # own work caches; the count is an integer, so the cache is exact.
         self._pending_dirty = True
         self._pending_cache = 0
+        #: Bumped by a node at every change to its observable state
+        #: (admission, queue pop, task start and finish, power
+        #: transition, DVFS, failure, repair).  Readers cache what they
+        #: derive from the nodes and rebuild it when the version moved.
+        self.version = 0
+        self._open_version = -1
+        self._open_cache: list[ComputeNode] = []
         for n in self.nodes:
             n._site = self
 
@@ -86,6 +93,17 @@ class ResourceSite:
     def states(self) -> list[NodeState]:
         """Per-node ``Sc(t)`` snapshots for the agent."""
         return [n.state() for n in self.nodes]
+
+    def open_nodes(self) -> list[ComputeNode]:
+        """Online nodes with a free queue slot, in node order.
+
+        Cached on :attr:`version`; the returned list is shared, so
+        callers must not mutate it.
+        """
+        if self._open_version != self.version:
+            self._open_cache = [n for n in self.nodes if n.available]
+            self._open_version = self.version
+        return self._open_cache
 
     # -- callbacks fan-out ---------------------------------------------------
     def on_task_complete(self, cb: Callable[[Task, ComputeNode], None]) -> None:

@@ -98,6 +98,9 @@ class SiteAgent:
             p.profile.p_max_w for n in site.nodes for p in n.processors
         )
         self._total_queue_slots = sum(n.queue_slots for n in site.nodes)
+        #: ``observe()`` result and the site version it was built at.
+        self._obs_version = -1
+        self._observation: tuple[DiscreteState, SiteObservation]
         self._pending: Dict[int, PendingAction] = {}
         self._last_hit_fraction: Optional[float] = None
         self._regressed = False
@@ -121,10 +124,20 @@ class SiteAgent:
 
     # -- observation -------------------------------------------------------
     def observe(self) -> tuple[DiscreteState, SiteObservation]:
-        obs = observe_site(
-            self.site.states(), self._max_power_w, self._total_queue_slots
-        )
-        return discretize(obs), obs
+        """The site's ``Sc(t)``, rebuilt only when a node changed.
+
+        Every node mutation bumps ``site.version``, so a pass over an
+        unchanged site returns the previous (frozen) pair; a rebuild
+        runs the same expressions over the same node order.
+        """
+        site = self.site
+        if self._obs_version != site.version:
+            obs = observe_site(
+                site.states(), self._max_power_w, self._total_queue_slots
+            )
+            self._observation = (discretize(obs), obs)
+            self._obs_version = site.version
+        return self._observation
 
     # -- action selection -----------------------------------------------------
     def select_action(
@@ -179,7 +192,7 @@ class SiteAgent:
 
         profiling = tel.profiling
         while len(self.backlog) > 0:
-            open_nodes = [n for n in self.site.nodes if n.available]
+            open_nodes = self.site.open_nodes()
             if not open_nodes:
                 break
             if allow_undersized is None:

@@ -18,7 +18,6 @@ from .priority_report import (
 )
 from .streaming import StreamingRunStats
 from .success_rate import SuccessSummary, success_rate, summarize_success
-from .timeline import TimelineRecorder, TimelineSample
 from .utilization import UtilizationPoint, utilization_by_cycles
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "summarize_success",
     "UtilizationPoint",
     "utilization_by_cycles",
-    "TimelineRecorder",
-    "TimelineSample",
     "PriorityClassReport",
     "priority_report",
     "render_priority_report",

@@ -12,8 +12,9 @@ clock-monotonic     the simulated clock never moves backwards
 dispatch-order      every dispatched event is the minimum of the pending
                     set under the total ``(time, priority, seq)`` order
 queue-bound         node queue occupancy never exceeds ``qc`` and the
-                    frozen Eq. 2 ``PCc``/dirty-flag caches match fresh
-                    recomputation
+                    frozen Eq. 2 ``PCc``/dirty-flag caches, site
+                    open-node lists and agent ``Sc(t)`` observations
+                    match fresh recomputation
 task-conservation   ``arrived == completed + in-flight`` at all times
                     (rejected/failed tasks are resubmitted, so they stay
                     in flight until they complete), completions are
@@ -52,6 +53,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from ..cluster.node import NodeState
+from ..core.agent import SiteAgent
+from ..core.state import discretize, observe_site
 from ..energy.meter import ProcessorEnergyMeter, ProcState
 from ..obs import CAT_AUDIT, NULL_TELEMETRY
 from ..rl.dense import DenseQTable
@@ -231,6 +235,8 @@ class InvariantAuditor:
         #: injection safe under service-mode slicing).
         self._orphans_seen = 0
         self._memory = None
+        #: Learning agents whose cached site observation is swept.
+        self._agents: list[SiteAgent] = []
         #: (label, dense table, shadow dict table) triples.
         self._qmirrors: list[tuple[str, DenseQTable, QTable]] = []
 
@@ -405,6 +411,8 @@ class InvariantAuditor:
         if memory is not None:
             self._wrap_memory(memory)
         for agent_id, agent in getattr(scheduler, "agents", {}).items():
+            if isinstance(agent, SiteAgent):
+                self._agents.append(agent)
             model = getattr(agent, "value_model", None)
             table = getattr(model, "table", None)
             if isinstance(table, DenseQTable):
@@ -560,6 +568,7 @@ class InvariantAuditor:
         self._events_at_last_sweep = self.report.events_audited
         self._sweep_nodes()
         self._sweep_sites()
+        self._sweep_observations()
         self._sweep_energy()
         if self.scheduler is not None:
             self._sweep_conservation()
@@ -638,8 +647,22 @@ class InvariantAuditor:
     def _sweep_sites(self) -> None:
         # Site pending-count cache coherence: nodes raise the site flag
         # wherever they invalidate their own work cache, so a clean site
-        # count must equal the per-node rescan exactly.
+        # count must equal the per-node rescan exactly.  The open-node
+        # list is cached on the site version, which every node mutation
+        # bumps, so a current list must equal the availability scan.
         for site in self._sites:
+            if site._open_version == site.version:
+                self.report.count(INV_QUEUE)
+                fresh_open = [n for n in site.nodes if n.available]
+                if site._open_cache != fresh_open:
+                    self._violate(
+                        INV_QUEUE,
+                        site.site_id,
+                        f"open-node list cached at version {site.version} "
+                        f"holds {[n.node_id for n in site._open_cache]}, "
+                        f"availability scan says "
+                        f"{[n.node_id for n in fresh_open]}",
+                    )
             if site._pending_dirty:
                 continue
             self.report.count(INV_QUEUE)
@@ -654,6 +677,40 @@ class InvariantAuditor:
                     f"node rescan {pending}",
                     cached=site._pending_cache,
                     fresh=pending,
+                )
+
+    def _sweep_observations(self) -> None:
+        # An agent observation stamped with the current site version
+        # must equal one rebuilt from the nodes' raw state with the
+        # uncached expressions (no node cache is read or refreshed).
+        for agent in self._agents:
+            site = agent.site
+            if agent._obs_version != site.version:
+                continue
+            self.report.count(INV_QUEUE)
+            states = [
+                NodeState(
+                    node_id=n.node_id,
+                    load=sum(g.pw for g in n._active_groups),
+                    free_slots=n.queue_slots - len(n.queue.items),
+                    processor_power_w=tuple(
+                        p.current_power_w for p in n.processors
+                    ),
+                    processing_capacity=n._processing_capacity,
+                )
+                for n in site.nodes
+            ]
+            obs = observe_site(
+                states, agent._max_power_w, agent._total_queue_slots
+            )
+            fresh = (discretize(obs), obs)
+            if agent._observation != fresh:
+                self._violate(
+                    INV_QUEUE,
+                    agent.agent_id,
+                    f"observation cached at site version {site.version} "
+                    f"is {agent._observation!r}, fresh rebuild is "
+                    f"{fresh!r}",
                 )
 
     def _sweep_energy(self) -> None:

@@ -5,8 +5,9 @@ a regression oracle: these tests pin per-seed sha256 digests of the
 headline metrics (AveRT, total system energy ``ECS``, success rate) for
 3 seeds × 2 schedulers, captured on the pre-optimisation kernel, plus
 one overload-with-failures run that exercises deep agent backlogs and
-crash resubmission, one many-site run with failures, the per-cycle
-utilization log and the learning-cycle stamps of the shared memory.
+crash resubmission, one many-site run with failures, DVFS runs with and
+without failures, one neural-value-model run, the per-cycle utilization
+log and the learning-cycle stamps of the shared memory.
 Any change that alters event ordering, float accumulation order, or RNG
 stream consumption shifts at least one digest and fails loudly.
 
@@ -81,6 +82,32 @@ MANY_SITES_CONFIG = ExperimentConfig(
     failure_mttr=40.0,
 )
 MANY_SITES_DIGEST = "0625535e2d2365fe"
+
+#: DVFS on the overload-with-failures platform: the scheduler rescales
+#: processor frequencies, so node power snapshots change through
+#: ``set_frequency_scale`` as well as through processor state
+#: transitions.  Pinned before agents cached their site observation.
+DVFS_FAILURES_CONFIG = OVERLOAD_FAILURES_CONFIG.with_overrides(
+    scheduler_kwargs={"dvfs_enabled": True}
+)
+DVFS_FAILURES_DIGEST = "87d0ed830596b723"
+
+#: The same DVFS run without failures.
+DVFS_CONFIG = DVFS_FAILURES_CONFIG.with_overrides(failure_mtbf=None)
+DVFS_DIGEST = "1fbe639bb705d3f0"
+
+#: The neural value model reads the continuous ``SiteObservation``
+#: (load ratio, free-slot and power fractions, open nodes), not just the
+#: ternary state, so any drift in the observation floats shifts it.
+#: Pinned before agents cached their site observation.
+NEURAL_CONFIG = ExperimentConfig(
+    scheduler="adaptive-rl",
+    seed=11,
+    num_tasks=NUM_TASKS,
+    arrival_period=ARRIVAL_PERIOD,
+    scheduler_kwargs={"value_model": "neural"},
+)
+NEURAL_DIGEST = "36d79c6ff0c11afe"
 
 #: The per-learning-cycle utilization log (Figures 9-10) of the
 #: adaptive-rl seed-11 golden run: every sample's busy time, powered
@@ -208,6 +235,28 @@ def test_many_sites_with_failures_digest() -> None:
     )
 
 
+@pytest.mark.parametrize(
+    "label,config,expected",
+    [
+        ("dvfs-with-failures", DVFS_FAILURES_CONFIG, DVFS_FAILURES_DIGEST),
+        ("dvfs", DVFS_CONFIG, DVFS_DIGEST),
+        ("neural", NEURAL_CONFIG, NEURAL_DIGEST),
+    ],
+    ids=["dvfs-with-failures", "dvfs", "neural"],
+)
+def test_observation_path_digest(
+    label: str, config: ExperimentConfig, expected: str
+) -> None:
+    """DVFS power changes and the neural model's continuous observation
+    stay bit-identical."""
+    digest, payload = _digest(config)
+    assert digest == expected, (
+        f"{label}: metrics digest {digest} != pinned {expected} "
+        f"(AveRT|ECS|success = {payload}); the site observation, DVFS "
+        "power accounting or the neural value model changed behaviour"
+    )
+
+
 def test_cycle_log_digest() -> None:
     """The learning-cycle utilization samples stay bit-identical."""
     digest = _cycle_log_digest()
@@ -242,5 +291,12 @@ if __name__ == "__main__":  # pragma: no cover - digest refresh helper
     print(f'OVERLOAD_FAILURES_DIGEST = "{dig}"  # {pay}')
     dig, pay = _digest(MANY_SITES_CONFIG)
     print(f'MANY_SITES_DIGEST = "{dig}"  # {pay}')
+    for name, cfg in (
+        ("DVFS_FAILURES_DIGEST", DVFS_FAILURES_CONFIG),
+        ("DVFS_DIGEST", DVFS_CONFIG),
+        ("NEURAL_DIGEST", NEURAL_CONFIG),
+    ):
+        dig, pay = _digest(cfg)
+        print(f'{name} = "{dig}"  # {pay}')
     print(f'CYCLE_LOG_DIGEST = "{_cycle_log_digest()}"')
     print(f'EXPERIENCE_CYCLES_DIGEST = "{_experience_cycles_digest()}"')

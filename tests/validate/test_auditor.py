@@ -12,8 +12,10 @@ import pytest
 
 from repro.cluster import PlatformSpec, build_system
 from repro.core.shared_memory import SharedLearningMemory
+from repro.energy.meter import ProcState
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.experiments.schedulers import make_scheduler
 from repro.rl.dense import DenseQTable
 from repro.rl.replay import ReplayRing
 from repro.sim import Environment, RandomStreams
@@ -52,6 +54,16 @@ def make_audited_cluster(on_violation="collect"):
     system = build_system(env, SMALL_PLATFORM, streams)
     auditor = InvariantAuditor(env, system, on_violation=on_violation)
     return env, system, auditor
+
+
+def make_audited_scheduler():
+    env = Environment()
+    streams = RandomStreams(seed=7)
+    system = build_system(env, SMALL_PLATFORM, streams)
+    scheduler = make_scheduler("adaptive-rl")
+    scheduler.attach(env, system, streams)
+    auditor = InvariantAuditor(env, system, scheduler, on_violation="collect")
+    return env, system, scheduler, auditor
 
 
 class TestCleanRuns:
@@ -233,6 +245,51 @@ class TestCorruptionDetection:
         auditor.sweep()
         assert auditor.report.ok
         assert site.pending_tasks == 0
+
+    def test_observation_changed_without_version_bump(self):
+        env, system, scheduler, auditor = make_audited_scheduler()
+        agent = next(iter(scheduler.agents.values()))
+        cached = agent.observe()
+        node = agent.site.nodes[0]
+        # Gate a processor and invalidate the node's own power cache,
+        # but skip the site version bump: the agent's observation is
+        # stamped current yet no longer matches the nodes.
+        node.processors[0].meter.set_state(ProcState.SLEEP, env.now)
+        node._power_dirty = True
+        assert agent.observe() is cached
+        auditor.sweep()
+        bad = [
+            v for v in auditor.report.violations if v.subject == agent.agent_id
+        ]
+        assert bad and bad[0].invariant == INV_QUEUE
+        assert "observation" in bad[0].message
+
+    def test_bumped_observation_is_rebuilt_not_flagged(self):
+        env, system, scheduler, auditor = make_audited_scheduler()
+        agent = next(iter(scheduler.agents.values()))
+        cached = agent.observe()
+        node = agent.site.nodes[0]
+        node.processors[0].meter.set_state(ProcState.SLEEP, env.now)
+        node._mark_power_dirty()
+        auditor.sweep()
+        assert auditor.report.ok, auditor.report.summary()
+        assert agent.observe() != cached
+        auditor.sweep()
+        assert auditor.report.ok, auditor.report.summary()
+
+    def test_open_nodes_changed_without_version_bump(self):
+        env, system, scheduler, auditor = make_audited_scheduler()
+        site = system.sites[0]
+        node = site.nodes[0]
+        assert node in site.open_nodes()
+        node.failed = True  # bypasses fail(), so no version bump
+        auditor.sweep()
+        bad = [
+            v
+            for v in auditor.report.violations
+            if v.subject == site.site_id and "open-node" in v.message
+        ]
+        assert bad and bad[0].invariant == INV_QUEUE
 
     def test_clock_regression_detected(self):
         env = Environment()
